@@ -2,8 +2,9 @@
  * @file
  * Micro-benchmarks of the concurrent characterization service: serial
  * vs parallel grid construction throughput (the dominant cost of every
- * figure), and the latency of a cache-hit tuning request vs a cold
- * one.
+ * figure), the latency of a cache-hit tuning request vs a cold one,
+ * and the set-up cost of building the workload profile a request
+ * carries.
  *
  * The parallel build fans the per-setting model evaluation over a
  * thread pool (bit-identical results; see sim/grid_runner.hh), so the
@@ -92,19 +93,37 @@ BENCHMARK(BM_GridBuildParallel)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_ServiceSubmitCacheHit(benchmark::State &state)
+BM_ServiceSubmitCacheHit(benchmark::State &state, const char *workload)
 {
+    // Fingerprints are stored at construction, so a hit should cost the
+    // same for a 50-sample (gobmk) and a 170-sample (milc) workload.
     svc::ServiceOptions options;
     options.jobs = 2;
     svc::CharacterizationService service(SystemConfig::paperDefault(),
                                          options);
-    const svc::TuningRequest request{workloadByName("gobmk"),
+    const svc::TuningRequest request{workloadByName(workload),
                                      SettingsSpace::coarse(), 1.3, 0.03};
     service.submit(request);  // warm the cache
     for (auto _ : state)
         benchmark::DoNotOptimize(service.submit(request));
 }
-BENCHMARK(BM_ServiceSubmitCacheHit)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServiceSubmitCacheHit, gobmk, "gobmk")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ServiceSubmitCacheHit, milc, "milc")
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_WorkloadProfileBuild(benchmark::State &state, const char *workload)
+{
+    // Every sample's script call, jitter, validation and fingerprint:
+    // paid once per constructed profile, never per request.
+    for (auto _ : state)
+        benchmark::DoNotOptimize(workloadByName(workload));
+}
+BENCHMARK_CAPTURE(BM_WorkloadProfileBuild, gobmk, "gobmk")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_WorkloadProfileBuild, milc, "milc")
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_ServiceGridCacheHit(benchmark::State &state)

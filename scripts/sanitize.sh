@@ -10,7 +10,8 @@
 #      and trace rings, trace enable/disable toggling, the telemetry
 #      sampler thread and SLO watchdog, the tuning daemon and its
 #      snapshot store, the streaming-resume path, the snapshot
-#      corruption fuzz and the three-domain daemon round-trip) — the
+#      corruption fuzz, the three-domain daemon round-trip, and the
+#      analysis results shared between pool and caller threads) — the
 #      lock-free metric stripes, the strip CAS pop/steal protocol,
 #      the seqlock-protected trace slots, the cache/coalescing paths,
 #      the daemon's batcher/drain handoffs and the checkpoint store
@@ -64,9 +65,10 @@ if [ "$run_tsan" = 1 ]; then
         daemon_snapshot_store_test daemon_tuning_daemon_test \
         svc_analysis_cache_test core_incremental_analysis_test \
         daemon_streaming_test \
-        daemon_snapshot_fuzz_test integration_gpu_test
+        daemon_snapshot_fuzz_test integration_gpu_test \
+        svc_shared_results_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization'
+        -R 'ThreadPool|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|SharedInputs|SharedResults'
 fi
 
 echo "sanitize: all requested passes clean"

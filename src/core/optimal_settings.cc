@@ -19,7 +19,7 @@ std::vector<std::size_t>
 OptimalSettingsFinder::feasibleSettings(std::size_t sample,
                                         double budget) const
 {
-    if (budget < 1.0) {
+    if (!(budget >= 1.0)) {  // NaN fails too
         fatal("inefficiency budget must be >= 1 (the most efficient "
               "execution has inefficiency exactly 1), got ", budget);
     }

@@ -84,7 +84,7 @@ ClusterFinder::fillSample(std::size_t sample, double budget,
                           double threshold, OptimalChoice &optimal,
                           SettingMask &mask) const
 {
-    if (threshold < 0.0)
+    if (!(threshold >= 0.0))  // NaN fails too
         fatal("cluster threshold must be >= 0, got ", threshold);
 
     SettingMask feasible;
@@ -97,7 +97,7 @@ ClusterFinder::fillBudget(std::size_t sample, double budget,
                           OptimalChoice &optimal,
                           SettingMask &feasible_out) const
 {
-    if (budget < 1.0) {
+    if (!(budget >= 1.0)) {  // NaN fails too
         fatal("inefficiency budget must be >= 1 (the most efficient "
               "execution has inefficiency exactly 1), got ", budget);
     }
@@ -238,7 +238,7 @@ ClusterFinder::fillCluster(std::size_t sample, double threshold,
                            const SettingMask &feasible,
                            SettingMask &mask) const
 {
-    if (threshold < 0.0)
+    if (!(threshold >= 0.0))  // NaN fails too
         fatal("cluster threshold must be >= 0, got ", threshold);
 
     const double *speedups = speedupRow(sample);

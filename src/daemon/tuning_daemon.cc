@@ -307,29 +307,39 @@ TuningDaemon::runGroup(const svc::GridKey &key,
                        std::shared_ptr<std::vector<Pending>> members)
 {
     obs::TraceSpan group_span("daemon.run_group", members->size());
-    std::size_t resolved = 0;
+
+    // Grid stage: one characterization (or cache hit) per group,
+    // attributed to the first member's request flow.  A failure here
+    // fails every member: they all need this grid.
+    const obs::Clock::time_point grid_start = obs::metricsNow();
+    bool grid_hit = false;
+    std::shared_ptr<const MeasuredGrid> grid;
+    std::uint64_t grid_ns = 0;
     try {
-        // Grid stage: one characterization (or cache hit) per group,
-        // attributed to the first member's request flow.
-        const obs::Clock::time_point grid_start = obs::metricsNow();
-        bool grid_hit = false;
-        const Pending &lead = members->front();
-        std::shared_ptr<const MeasuredGrid> grid;
         {
+            const Pending &lead = members->front();
             obs::ScopedTraceContext grid_context(
                 obs::TraceContext{lead.requestId, lead.classId});
             grid = service_.grid(lead.request.workload,
                                  lead.request.space, grid_hit);
         }
-        const std::uint64_t grid_ns = obs::elapsedNs(grid_start);
+        grid_ns = obs::elapsedNs(grid_start);
         daemonMetrics().gridStageNs.record(grid_ns);
         if (!grid_hit && store_ != nullptr)
             store_->storeGrid(key, *grid);
+    } catch (...) {
+        for (Pending &pending : *members)
+            pending.promise.set_exception(std::current_exception());
+        return;
+    }
 
-        // Analysis stage: one per member (later members share the
-        // grid, so their grid stage is a hit by construction).
-        const std::uint64_t digest = key.combined();
-        for (Pending &pending : *members) {
+    // Analysis stage: one per member (later members share the grid, so
+    // their grid stage is a hit by construction).  A member's failure
+    // (an invalid budget or threshold, say) resolves only that member.
+    const std::uint64_t digest = key.combined();
+    for (std::size_t i = 0; i < members->size(); ++i) {
+        Pending &pending = (*members)[i];
+        try {
             // Re-enter the member's request scope on this pool
             // thread: svc/analysis/arbiter spans and journal fills
             // below all stamp its request id.
@@ -342,8 +352,7 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             const obs::Clock::time_point analysis_start =
                 obs::metricsNow();
             svc::TuningResult result = service_.analyze(
-                pending.request, digest, grid,
-                resolved == 0 ? grid_hit : true);
+                pending.request, digest, grid, i == 0 ? grid_hit : true);
             const std::uint64_t analysis_ns =
                 obs::elapsedNs(analysis_start);
             daemonMetrics().analysisStageNs.record(analysis_ns);
@@ -354,14 +363,10 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             }
 
             if (!result.analysisCacheHit && store_ != nullptr) {
-                svc::AnalysisResult snapshot;
-                snapshot.optimal = result.optimal;
-                snapshot.clusters = result.clusters;
-                snapshot.regions = result.regions;
                 store_->storeAnalysis(
                     svc::AnalysisKey{digest, pending.request.budget,
                                      pending.request.threshold},
-                    snapshot);
+                    *result.analysis);
             }
 
             if (journal_ != nullptr) {
@@ -394,15 +399,9 @@ TuningDaemon::runGroup(const svc::GridKey &key,
                          {{"wl", pending.request.workload.name()}})
                 .add(1);
             pending.promise.set_value(std::move(response));
-            ++resolved;
-        }
-    } catch (...) {
-        // A grid- or analysis-stage failure fails every member that
-        // has not been resolved yet; the caller sees the exception
-        // through its future.
-        for (std::size_t i = resolved; i < members->size(); ++i) {
-            (*members)[i].promise.set_exception(
-                std::current_exception());
+        } catch (...) {
+            // The caller sees the exception through its future.
+            pending.promise.set_exception(std::current_exception());
         }
     }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace mcdvfs
@@ -34,14 +35,33 @@ settingPreferred(const FrequencySetting &a, const FrequencySetting &b)
 }
 
 SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem)
-    : cpu_(std::move(cpu)), mem_(std::move(mem))
+    : cpu_(std::move(cpu)), mem_(std::move(mem)),
+      fingerprint_(computeFingerprint())
 {
 }
 
 SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem,
                              FrequencyLadder gpu)
-    : cpu_(std::move(cpu)), mem_(std::move(mem)), gpu_(std::move(gpu))
+    : cpu_(std::move(cpu)), mem_(std::move(mem)), gpu_(std::move(gpu)),
+      fingerprint_(computeFingerprint())
 {
+}
+
+std::uint64_t
+SettingsSpace::computeFingerprint() const
+{
+    HashBuilder h;
+    h.add(static_cast<std::uint64_t>(domainCount()));
+    const auto add_ladder = [&h](const FrequencyLadder &ladder) {
+        h.add(static_cast<std::uint64_t>(ladder.size()));
+        for (const Hertz f : ladder.steps())
+            h.add(f);
+    };
+    add_ladder(cpu_);
+    add_ladder(mem_);
+    if (gpu_)
+        add_ladder(*gpu_);
+    return h.digest();
 }
 
 SettingsSpace

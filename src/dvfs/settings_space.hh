@@ -18,6 +18,7 @@
 #define MCDVFS_DVFS_SETTINGS_SPACE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -107,10 +108,24 @@ class SettingsSpace
     /** All settings in flat-index order. */
     std::vector<FrequencySetting> all() const;
 
+    /**
+     * Content hash of the space, computed once at construction: the
+     * domain count and every per-domain ladder (length plus steps).
+     * Hashing the domain list — not the flattened cross product —
+     * keeps a three-domain space from colliding with a two-domain
+     * space that shares its CPU x mem prefix.  This is the space word
+     * of svc::GridKey.
+     */
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
   private:
+    /** The fingerprint() of the ladders this space was built from. */
+    std::uint64_t computeFingerprint() const;
+
     FrequencyLadder cpu_;
     FrequencyLadder mem_;
     std::optional<FrequencyLadder> gpu_;
+    std::uint64_t fingerprint_ = 0;
 };
 
 } // namespace mcdvfs

@@ -85,7 +85,7 @@ GridKey
 CharacterizationService::keyFor(const WorkloadProfile &workload,
                                 const SettingsSpace &space) const
 {
-    return GridKey{fingerprintWorkload(workload), fingerprintSpace(space),
+    return GridKey{workload.fingerprint(), space.fingerprint(),
                    configFingerprint_};
 }
 
@@ -288,9 +288,11 @@ CharacterizationService::analyze(const TuningRequest &request,
         result.analysisCacheHit = true;
     }
 
-    result.optimal = cached->optimal;
-    result.clusters = cached->clusters;
-    result.regions = cached->regions;
+    result.optimal = SharedVector<OptimalChoice>(cached, cached->optimal);
+    result.clusters =
+        SharedVector<PerformanceCluster>(cached, cached->clusters);
+    result.regions = SharedVector<StableRegion>(cached, cached->regions);
+    result.analysis = std::move(cached);
     result.grid = std::move(grid);
     serviceMetrics().analyzeNs.add(obs::elapsedNs(analyze_start));
     return result;

@@ -62,17 +62,78 @@ struct TuningRequest
     double threshold = 0.03;
 };
 
-/** Everything a tuner needs for one (workload, budget, threshold). */
+/**
+ * Read-only view of one vector inside a shared, immutable result.
+ * The view holds a reference on the result it points into, so its
+ * elements stay valid as long as any copy of the view lives, however
+ * the cache that produced them evicts.  A default view is empty.
+ */
+template <typename T>
+class SharedVector
+{
+  public:
+    SharedVector() = default;
+
+    /** View @c items, which @c owner keeps alive. */
+    template <typename Owner>
+    SharedVector(std::shared_ptr<Owner> owner, const std::vector<T> &items)
+        : items_(std::move(owner), &items)
+    {
+    }
+
+    const std::vector<T> &get() const
+    {
+        return items_ != nullptr ? *items_ : none();
+    }
+    operator const std::vector<T> &() const { return get(); }
+
+    typename std::vector<T>::const_iterator begin() const
+    {
+        return get().begin();
+    }
+    typename std::vector<T>::const_iterator end() const
+    {
+        return get().end();
+    }
+    std::size_t size() const { return get().size(); }
+    bool empty() const { return get().empty(); }
+    const T &operator[](std::size_t i) const { return get()[i]; }
+    const T &front() const { return get().front(); }
+    const T &back() const { return get().back(); }
+
+  private:
+    static const std::vector<T> &
+    none()
+    {
+        static const std::vector<T> nothing;
+        return nothing;
+    }
+
+    std::shared_ptr<const std::vector<T>> items_;
+};
+
+/**
+ * Everything a tuner needs for one (workload, budget, threshold).
+ *
+ * The analysis fields are read-only views into the cached
+ * AnalysisResult: a cache hit hands out references, not copies, and
+ * results served for one key share storage.
+ */
 struct TuningResult
 {
     /** The measured grid (shared with the cache; always valid). */
     std::shared_ptr<const MeasuredGrid> grid;
+    /**
+     * The §V/§VI analysis the three views below point into (shared
+     * with the analysis cache; null only in a default result).
+     */
+    std::shared_ptr<const AnalysisResult> analysis;
     /** Per-sample optimal settings under the budget (§V). */
-    std::vector<OptimalChoice> optimal;
+    SharedVector<OptimalChoice> optimal;
     /** Per-sample performance clusters (§VI-A). */
-    std::vector<PerformanceCluster> clusters;
+    SharedVector<PerformanceCluster> clusters;
     /** Stable regions tiling the run (§VI-B). */
-    std::vector<StableRegion> regions;
+    SharedVector<StableRegion> regions;
     double budget = 0.0;
     double threshold = 0.0;
     /**

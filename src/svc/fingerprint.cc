@@ -1,9 +1,5 @@
 #include "svc/fingerprint.hh"
 
-#include <bit>
-
-#include "common/hash.hh"
-
 namespace mcdvfs
 {
 namespace svc
@@ -11,29 +7,6 @@ namespace svc
 
 namespace
 {
-
-void
-addPhase(HashBuilder &h, const PhaseSpec &phase)
-{
-    h.add(phase.name)
-        .add(phase.loadFrac)
-        .add(phase.storeFrac)
-        .add(phase.branchFrac)
-        .add(phase.fpFrac)
-        .add(phase.mulFrac)
-        .add(phase.baseCpi)
-        .add(phase.hotFrac)
-        .add(phase.warmFrac)
-        .add(phase.hotBytes)
-        .add(phase.warmBytes)
-        .add(phase.coldBytes)
-        .add(phase.coldSeqFrac)
-        .add(phase.mlp)
-        .add(phase.activity)
-        .add(phase.gpuKickFrac)
-        .add(phase.gpuCyclesPerKick)
-        .add(phase.gpuActivity);
-}
 
 void
 addCache(HashBuilder &h, const CacheConfig &cache)
@@ -71,76 +44,6 @@ addRails(HashBuilder &h, const RailCurrents &rails)
 }
 
 } // namespace
-
-HashBuilder &
-HashBuilder::add(std::uint64_t value)
-{
-    hash_ = fnv1aWordBytes(hash_, value);
-    return *this;
-}
-
-HashBuilder &
-HashBuilder::add(double value)
-{
-    // Bit-pattern hash: keys are exact.  Normalize -0.0 so the two
-    // zero encodings collide (they compare equal everywhere else).
-    if (value == 0.0)
-        value = 0.0;
-    return add(std::bit_cast<std::uint64_t>(value));
-}
-
-HashBuilder &
-HashBuilder::add(bool value)
-{
-    hash_ = fnv1aMixWord(hash_, value ? 1u : 0u);
-    return *this;
-}
-
-HashBuilder &
-HashBuilder::add(const std::string &value)
-{
-    hash_ = fnv1aString(hash_, value);
-    // Length terminator so ("ab","c") and ("a","bc") differ.
-    return add(static_cast<std::uint64_t>(value.size()));
-}
-
-std::uint64_t
-fingerprintWorkload(const WorkloadProfile &workload)
-{
-    HashBuilder h;
-    h.add(workload.name())
-        .add(static_cast<std::uint64_t>(workload.sampleCount()))
-        .add(static_cast<std::uint64_t>(
-            workload.modeledInstructionsPerSample()));
-    for (std::size_t s = 0; s < workload.sampleCount(); ++s) {
-        addPhase(h, workload.phaseFor(s));
-        h.add(workload.traceSeedFor(s));
-    }
-    return h.digest();
-}
-
-std::uint64_t
-fingerprintSpace(const SettingsSpace &space)
-{
-    // Hash the domain list itself — count, then every ladder with its
-    // own length — rather than the flattened cross product.  Flattened
-    // (cpu, mem) tuples can be identical between a two-domain space
-    // and a three-domain space sharing its CPU x mem prefix (e.g. a
-    // one-step GPU ladder), and those must never collide: their grids
-    // have different shapes and different GPU columns.
-    HashBuilder h;
-    h.add(static_cast<std::uint64_t>(space.domainCount()));
-    const auto add_ladder = [&h](const FrequencyLadder &ladder) {
-        h.add(static_cast<std::uint64_t>(ladder.size()));
-        for (const Hertz f : ladder.steps())
-            h.add(f);
-    };
-    add_ladder(space.cpuLadder());
-    add_ladder(space.memLadder());
-    if (space.hasGpu())
-        add_ladder(space.gpuLadder());
-    return h.digest();
-}
 
 std::uint64_t
 fingerprintConfig(const SystemConfig &config)

@@ -10,16 +10,15 @@
  * same, and any calibration change to the SystemConfig changes the
  * key.
  *
- * Hashing is field-by-field FNV-1a (never raw struct bytes — padding
- * is indeterminate), with doubles hashed by bit pattern so keys are
- * exact, not tolerance-based.
+ * WorkloadProfile::fingerprint() and SettingsSpace::fingerprint() are
+ * computed once, when the input is built; the configuration is hashed
+ * here, once per service.  All three use the common HashBuilder.
  */
 
 #ifndef MCDVFS_SVC_FINGERPRINT_HH
 #define MCDVFS_SVC_FINGERPRINT_HH
 
 #include <cstdint>
-#include <string>
 
 #include "common/hash.hh"
 #include "sim/grid_runner.hh"
@@ -29,39 +28,8 @@ namespace mcdvfs
 namespace svc
 {
 
-/**
- * Incremental FNV-1a hasher over typed fields, built on the shared
- * primitives in common/hash.hh (byte-wise mixing for avalanche
- * quality; see that header for the granularity trade-off).
- */
-class HashBuilder
-{
-  public:
-    HashBuilder &add(std::uint64_t value);
-    HashBuilder &add(double value);
-    HashBuilder &add(bool value);
-    HashBuilder &add(const std::string &value);
-
-    std::uint64_t digest() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = kFnvOffsetBasis;
-};
-
-/**
- * Content hash of a workload: name, sample count, and every sample's
- * post-jitter phase and trace seed.  Covers the script and the
- * workload-level RNG seed without needing access to either.
- */
-std::uint64_t fingerprintWorkload(const WorkloadProfile &workload);
-
-/**
- * Content hash of a settings space: the domain count and every
- * per-domain ladder (length plus steps).  Hashing the domain list —
- * not the flattened cross product — keeps a three-domain space from
- * colliding with a two-domain space that shares its CPU x mem prefix.
- */
-std::uint64_t fingerprintSpace(const SettingsSpace &space);
+/** The common hasher (common/hash.hh), under its service-layer name. */
+using mcdvfs::HashBuilder;
 
 /** Content hash of the full system configuration. */
 std::uint64_t fingerprintConfig(const SystemConfig &config);

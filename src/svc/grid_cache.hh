@@ -36,8 +36,8 @@ namespace svc
 /** Identity of one characterization (see svc/fingerprint.hh). */
 struct GridKey
 {
-    std::uint64_t workload = 0;  ///< fingerprintWorkload()
-    std::uint64_t space = 0;     ///< fingerprintSpace()
+    std::uint64_t workload = 0;  ///< WorkloadProfile::fingerprint()
+    std::uint64_t space = 0;     ///< SettingsSpace::fingerprint()
     std::uint64_t config = 0;    ///< fingerprintConfig()
 
     bool

@@ -1,7 +1,6 @@
 #include "trace/phase.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -44,36 +43,28 @@ PhaseSpec::validate() const
 std::uint64_t
 PhaseSpec::fingerprint(std::uint64_t seed) const
 {
-    std::uint64_t h = seed;
-    auto addDouble = [&h](double v) {
-        // Normalize -0.0 so equal-comparing specs hash equally (the
-        // svc::HashBuilder fingerprints follow the same rule).
-        if (v == 0.0)
-            v = 0.0;
-        h = fnv1aWordBytes(h, std::bit_cast<std::uint64_t>(v));
-    };
-    auto addWord = [&h](std::uint64_t v) { h = fnv1aWordBytes(h, v); };
-
-    h = fnv1aString(h, name);
-    addWord(name.size());
-    addDouble(loadFrac);
-    addDouble(storeFrac);
-    addDouble(branchFrac);
-    addDouble(fpFrac);
-    addDouble(mulFrac);
-    addDouble(baseCpi);
-    addDouble(hotFrac);
-    addDouble(warmFrac);
-    addWord(hotBytes);
-    addWord(warmBytes);
-    addWord(coldBytes);
-    addDouble(coldSeqFrac);
-    addDouble(mlp);
-    addDouble(activity);
-    addDouble(gpuKickFrac);
-    addDouble(gpuCyclesPerKick);
-    addDouble(gpuActivity);
-    return h;
+    // Every field, in declaration order; trace_phase_test fails when a
+    // field is added without being hashed here.
+    return HashBuilder(seed)
+        .add(name)
+        .add(loadFrac)
+        .add(storeFrac)
+        .add(branchFrac)
+        .add(fpFrac)
+        .add(mulFrac)
+        .add(baseCpi)
+        .add(hotFrac)
+        .add(warmFrac)
+        .add(hotBytes)
+        .add(warmBytes)
+        .add(coldBytes)
+        .add(coldSeqFrac)
+        .add(mlp)
+        .add(activity)
+        .add(gpuKickFrac)
+        .add(gpuCyclesPerKick)
+        .add(gpuActivity)
+        .digest();
 }
 
 PhaseSpec

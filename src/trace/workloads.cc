@@ -4,83 +4,123 @@
 #include <cmath>
 #include <utility>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace mcdvfs
 {
 
-WorkloadProfile::WorkloadProfile(std::string name, std::size_t sample_count,
-                                 Script script, std::uint64_t seed,
-                                 double jitter, SeedMode seed_mode)
-    : name_(std::move(name)), sampleCount_(sample_count),
-      script_(std::move(script)), seed_(seed), jitter_(jitter),
-      seedMode_(seed_mode)
+namespace
 {
-    if (sampleCount_ == 0)
-        fatal("workload '", name_, "' must have at least one sample");
-    if (!script_)
-        fatal("workload '", name_, "' has no phase script");
+
+/** The historical per-sample stream seed (jitter always uses it). */
+std::uint64_t
+sampleSeedFor(std::uint64_t seed, std::size_t sample)
+{
+    // Distinct, deterministic per-sample stream seeds.
+    return seed * 0x100000001b3ull + sample * 0x9e3779b97f4a7c15ull + 1;
+}
+
+/**
+ * Small deterministic per-sample perturbation so consecutive samples
+ * are similar but not identical (simulation noise the paper's 0.5%
+ * tie-break filter exists to absorb).
+ */
+void
+applyJitter(PhaseSpec &spec, double jitter, std::uint64_t sample_seed)
+{
+    // Always the PerSample stream: in PerPhase seed mode the trace
+    // seed is derived *from* the jittered phase, so jitter drawing
+    // from the trace seed would be circular.
+    Rng rng(sample_seed ^ 0xa5a5a5a5deadbeefull);
+    auto wobble = [&](double v) {
+        return v * (1.0 + jitter * (2.0 * rng.uniform() - 1.0));
+    };
+    spec.baseCpi = wobble(spec.baseCpi);
+    spec.mlp = std::max(1.0, wobble(spec.mlp));
+    const double hot = spec.hotFrac;
+    const double warm = spec.warmFrac;
+    const double cold = spec.coldFrac();
+    // Jitter the miss-producing tiers and renormalize via hot.
+    const double new_warm = std::clamp(wobble(warm), 0.0, 0.5);
+    const double new_cold = std::clamp(wobble(cold), 0.0, 0.5);
+    spec.warmFrac = new_warm;
+    spec.hotFrac = std::clamp(hot + (warm - new_warm) + (cold - new_cold),
+                              0.0, 1.0 - new_warm);
+}
+
+} // namespace
+
+WorkloadProfile::WorkloadProfile(std::string name, std::size_t sample_count,
+                                 const Script &script, std::uint64_t seed,
+                                 double jitter, SeedMode seed_mode)
+{
+    if (sample_count == 0)
+        fatal("workload '", name, "' must have at least one sample");
+    if (!script)
+        fatal("workload '", name, "' has no phase script");
+
+    auto data = std::make_shared<Data>();
+    data->seedMode = seed_mode;
+    data->phases.reserve(sample_count);
+    data->traceSeeds.reserve(sample_count);
+    HashBuilder h;
+    h.add(name)
+        .add(static_cast<std::uint64_t>(sample_count))
+        .add(static_cast<std::uint64_t>(kModeledPerSample));
+    for (std::size_t s = 0; s < sample_count; ++s) {
+        PhaseSpec spec = script(s);
+        const std::uint64_t sample_seed = sampleSeedFor(seed, s);
+        if (jitter > 0.0)
+            applyJitter(spec, jitter, sample_seed);
+        spec.validate();
+        // PerPhase: the seed is a pure function of the post-jitter
+        // phase content — not of the workload seed or sample index —
+        // so repeated phases anywhere in the fleet share one
+        // characterization.  The salt keeps the stream disjoint from
+        // fingerprint consumers.
+        const std::uint64_t trace_seed =
+            seed_mode == SeedMode::PerSample
+                ? sample_seed
+                : spec.fingerprint(0x9e3779b97f4a7c15ull);
+        h = HashBuilder(spec.fingerprint(h.digest()));
+        h.add(trace_seed);
+        data->phases.push_back(std::move(spec));
+        data->traceSeeds.push_back(trace_seed);
+    }
+    data->fingerprint = h.digest();
+    data->name = std::move(name);
+    data_ = std::move(data);
 }
 
 Count
 WorkloadProfile::totalModeledInstructions() const
 {
-    return kModeledPerSample * static_cast<Count>(sampleCount_);
+    return kModeledPerSample * static_cast<Count>(sampleCount());
 }
 
-std::uint64_t
-WorkloadProfile::sampleSeedFor(std::size_t sample) const
+void
+WorkloadProfile::checkSample(std::size_t sample) const
 {
-    // Distinct, deterministic per-sample stream seeds.
-    return seed_ * 0x100000001b3ull + sample * 0x9e3779b97f4a7c15ull + 1;
+    if (sample >= sampleCount()) {
+        fatal("workload '", name(), "': sample ", sample,
+              " out of range (", sampleCount(), " samples)");
+    }
+}
+
+const PhaseSpec &
+WorkloadProfile::phaseFor(std::size_t sample) const
+{
+    checkSample(sample);
+    return data_->phases[sample];
 }
 
 std::uint64_t
 WorkloadProfile::traceSeedFor(std::size_t sample) const
 {
-    if (seedMode_ == SeedMode::PerSample)
-        return sampleSeedFor(sample);
-    // PerPhase: the seed is a pure function of the post-jitter phase
-    // content — not of the workload seed or sample index — so repeated
-    // phases anywhere in the fleet share one characterization.  The
-    // salt keeps the stream disjoint from fingerprint consumers.
-    return phaseFor(sample).fingerprint(0x9e3779b97f4a7c15ull);
-}
-
-PhaseSpec
-WorkloadProfile::phaseFor(std::size_t sample) const
-{
-    if (sample >= sampleCount_) {
-        fatal("workload '", name_, "': sample ", sample,
-              " out of range (", sampleCount_, " samples)");
-    }
-    PhaseSpec spec = script_(sample);
-    if (jitter_ > 0.0) {
-        // Small deterministic per-sample perturbation so consecutive
-        // samples are similar but not identical (simulation noise the
-        // paper's 0.5% tie-break filter exists to absorb).
-        // Always the PerSample stream: in PerPhase seed mode the trace
-        // seed is derived *from* the jittered phase, so jitter drawing
-        // from traceSeedFor() would be circular.
-        Rng rng(sampleSeedFor(sample) ^ 0xa5a5a5a5deadbeefull);
-        auto wobble = [&](double v) {
-            return v * (1.0 + jitter_ * (2.0 * rng.uniform() - 1.0));
-        };
-        spec.baseCpi = wobble(spec.baseCpi);
-        spec.mlp = std::max(1.0, wobble(spec.mlp));
-        const double hot = spec.hotFrac;
-        const double warm = spec.warmFrac;
-        const double cold = spec.coldFrac();
-        // Jitter the miss-producing tiers and renormalize via hot.
-        const double new_warm = std::clamp(wobble(warm), 0.0, 0.5);
-        const double new_cold = std::clamp(wobble(cold), 0.0, 0.5);
-        spec.warmFrac = new_warm;
-        spec.hotFrac = std::clamp(hot + (warm - new_warm) +
-                                  (cold - new_cold), 0.0, 1.0 - new_warm);
-    }
-    spec.validate();
-    return spec;
+    checkSample(sample);
+    return data_->traceSeeds[sample];
 }
 
 namespace
@@ -576,43 +616,68 @@ makeGlrender()
         0x61e4de12, /*jitter=*/0.03);
 }
 
+namespace
+{
+
+/** One stock profile: its name and the function that builds it. */
+struct StockProfile
+{
+    const char *name;
+    WorkloadProfile (*make)();
+};
+
+/**
+ * Every stock profile, the paper's six first and in its order.  The
+ * one list extendedWorkloads(), standardWorkloads() and
+ * workloadByName() all read, so a profile cannot be added to one and
+ * missed by another.
+ */
+constexpr StockProfile kStockProfiles[] = {
+    {"bzip2", makeBzip2},   {"gcc", makeGcc},       {"gobmk", makeGobmk},
+    {"lbm", makeLbm},       {"libq.", makeLibquantum},
+    {"milc", makeMilc},     {"mcf", makeMcf},       {"hmmer", makeHmmer},
+    {"sjeng", makeSjeng},   {"omnetpp", makeOmnetpp},
+    {"namd", makeNamd},     {"soplex", makeSoplex},
+    {"glrender", makeGlrender},
+};
+
+constexpr std::size_t kStandardCount = 6;
+
+std::vector<WorkloadProfile>
+buildStock(std::size_t count)
+{
+    std::vector<WorkloadProfile> all;
+    all.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        all.push_back(kStockProfiles[i].make());
+    return all;
+}
+
+} // namespace
+
 std::vector<WorkloadProfile>
 standardWorkloads()
 {
-    std::vector<WorkloadProfile> all;
-    all.push_back(makeBzip2());
-    all.push_back(makeGcc());
-    all.push_back(makeGobmk());
-    all.push_back(makeLbm());
-    all.push_back(makeLibquantum());
-    all.push_back(makeMilc());
-    return all;
+    return buildStock(kStandardCount);
 }
 
 std::vector<WorkloadProfile>
 extendedWorkloads()
 {
-    std::vector<WorkloadProfile> all = standardWorkloads();
-    all.push_back(makeMcf());
-    all.push_back(makeHmmer());
-    all.push_back(makeSjeng());
-    all.push_back(makeOmnetpp());
-    all.push_back(makeNamd());
-    all.push_back(makeSoplex());
-    all.push_back(makeGlrender());
-    return all;
+    return buildStock(std::size(kStockProfiles));
 }
 
 WorkloadProfile
 workloadByName(const std::string &name)
 {
-    for (auto &profile : extendedWorkloads()) {
-        if (profile.name() == name)
-            return profile;
+    for (const StockProfile &stock : kStockProfiles) {
+        if (name == stock.name)
+            return stock.make();
     }
-    fatal("unknown workload '", name,
-          "' (expected one of: bzip2 gcc gobmk lbm libq. milc mcf "
-          "hmmer sjeng omnetpp namd soplex glrender)");
+    std::string known;
+    for (const StockProfile &stock : kStockProfiles)
+        known += (known.empty() ? "" : " ") + std::string(stock.name);
+    fatal("unknown workload '", name, "' (expected one of: ", known, ")");
 }
 
 } // namespace mcdvfs

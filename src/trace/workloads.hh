@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,15 @@
 namespace mcdvfs
 {
 
-/** A benchmark as a sequence of per-sample phase specifications. */
+/**
+ * A benchmark as a sequence of per-sample phase specifications.
+ *
+ * Immutable after construction: the constructor runs the phase script
+ * once per sample, applies the jitter, validates every phase and
+ * derives every trace seed and the content fingerprint, all into one
+ * shared block.  Copies share that block (a copy is a reference-count
+ * increment), and reads never re-run the script.
+ */
 class WorkloadProfile
 {
   public:
@@ -54,21 +63,24 @@ class WorkloadProfile
     /**
      * @param name benchmark name (e.g. "gobmk")
      * @param sample_count number of samples in the run
-     * @param script per-sample phase script
+     * @param script per-sample phase script, called exactly once per
+     *        sample, in sample order, before the constructor returns
      * @param seed workload-level RNG seed
      * @param jitter relative magnitude of per-sample jitter (0 = none)
      * @param seed_mode trace-seed derivation (see SeedMode)
+     * @throws FatalError for zero samples, a missing script or a phase
+     *         that fails PhaseSpec::validate()
      */
     WorkloadProfile(std::string name, std::size_t sample_count,
-                    Script script, std::uint64_t seed,
+                    const Script &script, std::uint64_t seed,
                     double jitter = 0.02,
                     SeedMode seed_mode = SeedMode::PerSample);
 
     /** Benchmark name. */
-    const std::string &name() const { return name_; }
+    const std::string &name() const { return data_->name; }
 
     /** Number of samples in the run. */
-    std::size_t sampleCount() const { return sampleCount_; }
+    std::size_t sampleCount() const { return data_->phases.size(); }
 
     /**
      * Instructions each sample represents in the paper's units.  Plots
@@ -81,30 +93,52 @@ class WorkloadProfile
     Count totalModeledInstructions() const;
 
     /**
-     * Phase for one sample, with deterministic jitter applied.
+     * Phase for one sample, with deterministic jitter applied.  The
+     * reference stays valid as long as any copy of this profile lives.
      *
      * @throws FatalError when @c sample is out of range.
      */
-    PhaseSpec phaseFor(std::size_t sample) const;
+    const PhaseSpec &phaseFor(std::size_t sample) const;
 
-    /** Deterministic seed for the trace of one sample (per seedMode). */
+    /**
+     * Deterministic seed for the trace of one sample (per seedMode).
+     *
+     * @throws FatalError when @c sample is out of range.
+     */
     std::uint64_t traceSeedFor(std::size_t sample) const;
 
     /** Trace-seed derivation mode. */
-    SeedMode seedMode() const { return seedMode_; }
+    SeedMode seedMode() const { return data_->seedMode; }
+
+    /**
+     * Content hash of the workload: name, sample count, modeled
+     * instructions per sample, and every sample's post-jitter phase
+     * (PhaseSpec::fingerprint, chained) and trace seed.  Covers the
+     * script and the workload-level RNG seed without retaining either;
+     * two independently built profiles with equal content hash equal.
+     * This is the workload word of svc::GridKey.
+     */
+    std::uint64_t fingerprint() const { return data_->fingerprint; }
 
   private:
     static constexpr Count kModeledPerSample = 10'000'000;
 
-    /** The historical per-sample stream seed (jitter always uses it). */
-    std::uint64_t sampleSeedFor(std::size_t sample) const;
+    /** Everything a profile is, built once by the constructor. */
+    struct Data
+    {
+        std::string name;
+        SeedMode seedMode = SeedMode::PerSample;
+        /** Post-jitter, validated phase of every sample. */
+        std::vector<PhaseSpec> phases;
+        /** Trace seed of every sample. */
+        std::vector<std::uint64_t> traceSeeds;
+        std::uint64_t fingerprint = 0;
+    };
 
-    std::string name_;
-    std::size_t sampleCount_;
-    Script script_;
-    std::uint64_t seed_;
-    double jitter_;
-    SeedMode seedMode_;
+    /** FatalError unless @c sample indexes a sample. */
+    void checkSample(std::size_t sample) const;
+
+    std::shared_ptr<const Data> data_;
 };
 
 /** @name Profiles for the paper's six reported benchmarks. */

@@ -2,8 +2,8 @@
  * @file
  * TuningDaemon tests: pipeline results match the direct service path
  * bit-for-bit, admission control sheds (queue-full and draining),
- * drain completes every admitted request, and a warm restart answers
- * from the snapshot store.
+ * drain completes every admitted request, a warm restart answers
+ * from the snapshot store, and an invalid request fails alone.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "daemon/tuning_daemon.hh"
@@ -241,6 +242,46 @@ TEST(TuningDaemon, WarmRestartAnswersFromTheSnapshotStore)
     EXPECT_TRUE(warm.result.analysisCacheHit);
     expectResultsBitEqual(warm.result, cold);
     fs::remove_all(dir);
+}
+
+TEST(TuningDaemon, InvalidRequestFailsAloneInItsBatch)
+{
+    TuningDaemon daemon(fastConfig());
+    ASSERT_TRUE(daemon.submit(tinyRequest()).get().ok());  // warm grid
+
+    const svc::TuningRequest valid = tinyRequest();
+    svc::TuningRequest nan_threshold = tinyRequest();
+    nan_threshold.threshold = std::numeric_limits<double>::quiet_NaN();
+
+    // Whether the three requests share a batch depends on when the
+    // batcher wakes, so repeat until one round does; every round must
+    // resolve the same way regardless.
+    bool shared_batch = false;
+    for (int round = 0; round < 200 && !shared_batch; ++round) {
+        const DaemonStats before = daemon.stats();
+        std::future<DaemonResponse> first = daemon.submit(valid);
+        std::future<DaemonResponse> invalid = daemon.submit(nan_threshold);
+        std::future<DaemonResponse> last = daemon.submit(valid);
+        const DaemonResponse a = first.get();
+        EXPECT_THROW(invalid.get(), FatalError);
+        const DaemonResponse b = last.get();
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        EXPECT_FALSE(a.result.regions.empty());
+        expectResultsBitEqual(a.result, b.result);
+        const DaemonStats after = daemon.stats();
+        shared_batch = after.batches == before.batches + 1 &&
+                       after.coalesced == before.coalesced + 2;
+    }
+    EXPECT_TRUE(shared_batch);
+
+    // A NaN budget fails the same way, and the daemon keeps serving.
+    svc::TuningRequest nan_budget = tinyRequest();
+    nan_budget.budget = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(daemon.submit(nan_budget).get(), FatalError);
+    const DaemonResponse after = daemon.submit(tinyRequest("other")).get();
+    ASSERT_TRUE(after.ok());
+    EXPECT_FALSE(after.result.regions.empty());
 }
 
 TEST(TuningDaemon, RejectsZeroSizing)

@@ -85,20 +85,20 @@ TEST(Fingerprint, StableAcrossIndependentConstruction)
 {
     // Two independently built instances of the same workload, space
     // and config must produce equal fingerprints.
-    EXPECT_EQ(svc::fingerprintWorkload(makeGobmk()),
-              svc::fingerprintWorkload(makeGobmk()));
-    EXPECT_EQ(svc::fingerprintSpace(SettingsSpace::coarse()),
-              svc::fingerprintSpace(SettingsSpace::coarse()));
+    EXPECT_EQ(makeGobmk().fingerprint(),
+              makeGobmk().fingerprint());
+    EXPECT_EQ(SettingsSpace::coarse().fingerprint(),
+              SettingsSpace::coarse().fingerprint());
     EXPECT_EQ(svc::fingerprintConfig(SystemConfig::paperDefault()),
               svc::fingerprintConfig(SystemConfig::paperDefault()));
 }
 
 TEST(Fingerprint, DistinguishesInputs)
 {
-    EXPECT_NE(svc::fingerprintWorkload(makeGobmk()),
-              svc::fingerprintWorkload(makeMilc()));
-    EXPECT_NE(svc::fingerprintSpace(SettingsSpace::coarse()),
-              svc::fingerprintSpace(SettingsSpace::fine()));
+    EXPECT_NE(makeGobmk().fingerprint(),
+              makeMilc().fingerprint());
+    EXPECT_NE(SettingsSpace::coarse().fingerprint(),
+              SettingsSpace::fine().fingerprint());
 
     SystemConfig tweaked;
     tweaked.measurementNoise = 0.004;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
 #include "trace/workloads.hh"
 
@@ -29,6 +31,25 @@ TEST(Workloads, LookupByName)
 {
     EXPECT_EQ(workloadByName("gobmk").name(), "gobmk");
     EXPECT_THROW(workloadByName("doom"), FatalError);
+}
+
+TEST(Workloads, LookupFindsEveryExtendedProfile)
+{
+    std::string names;
+    for (const WorkloadProfile &w : extendedWorkloads()) {
+        EXPECT_EQ(workloadByName(w.name()).fingerprint(), w.fingerprint())
+            << w.name();
+        names += (names.empty() ? "" : " ") + w.name();
+    }
+    try {
+        workloadByName("doom");
+        FAIL() << "unknown name accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what())
+                      .find("(expected one of: " + names + ")"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(Workloads, SampleCountsMatchPaperScale)
@@ -134,6 +155,15 @@ TEST(Workloads, ConstructorValidation)
                         [](std::size_t) { return PhaseSpec{}; }, 1),
         FatalError);
     EXPECT_THROW(WorkloadProfile("noscript", 5, nullptr, 1),
+                 FatalError);
+    // Every phase is validated while the profile is built.
+    EXPECT_THROW(WorkloadProfile("badphase", 5,
+                                 [](std::size_t s) {
+                                     PhaseSpec spec;
+                                     spec.mlp = s == 3 ? 0.5 : 1.5;
+                                     return spec;
+                                 },
+                                 1, /*jitter=*/0.0),
                  FatalError);
 }
 
