@@ -9,7 +9,9 @@
  * the analogous software costs in this implementation — the
  * optimal-settings search and cluster computation over the 70- and
  * 496-setting spaces — plus the per-sample characterization and
- * whole-grid construction costs that bound offline profiling.
+ * whole-grid construction costs that bound offline profiling, with
+ * the characterization of a profile-cache miss also split by layer
+ * (generation, cache hierarchy, DRAM, reset).
  *
  * The metrics snapshot is written next to MCDVFS_BENCH_OUT (default
  * BENCH_search.json) as a .metrics.json sidecar, so counter deltas
@@ -21,14 +23,18 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "bench_json.hh"
 #include "core/search_strategies.hh"
 #include "obs/metrics.hh"
 #include "repro/analyses.hh"
 #include "sim/grid_runner.hh"
+#include "sim/profile_cache.hh"
 #include "sim/sample_simulator.hh"
+#include "trace/trace_generator.hh"
 #include "trace/workloads.hh"
 
 using namespace mcdvfs;
@@ -150,6 +156,186 @@ BM_CharacterizeSample(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CharacterizeSample);
+
+/**
+ * One profile-cache miss per iteration — hierarchy reset, canonical
+ * warm-up, measured sample — at the fleet_sim sampler (20k measured
+ * after 40k warm-up instructions).  Each iteration takes the next
+ * sample's phase of @c name under a fresh trace seed, so the cache
+ * never hits.  Items are simulated instructions, warm-up included:
+ * 1e9 / items_per_second is the cost per instruction in ns.
+ */
+void
+BM_CharacterizeCanonical(benchmark::State &state, const char *name)
+{
+    SampleSimulatorConfig config;
+    config.simInstructionsPerSample = 20'000;
+    config.warmupInstructions = 100'000;
+    config.profileWarmupInstructions = 40'000;
+    SampleSimulator simulator(config);
+    ProfileCache cache(64);
+    simulator.setProfileCache(&cache);
+    const WorkloadProfile workload = workloadByName(name);
+    std::uint64_t seed = 0;
+    for (auto _ : state) {
+        const PhaseSpec &phase =
+            workload.phaseFor(seed % workload.sampleCount());
+        const WorkloadProfile sample(
+            name, 1, [&phase](std::size_t) { return phase; }, ++seed,
+            /*jitter=*/0.0);
+        benchmark::DoNotOptimize(simulator.characterize(sample));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(config.profileWarmupInstructions +
+                                  config.simInstructionsPerSample));
+}
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, gobmk, "gobmk");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, milc, "milc");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, mcf, "mcf");
+
+/**
+ * What canonical characterizations of a workload's first eight samples
+ * feed each layer (three 20k-instruction streams per sample, as in
+ * BM_CharacterizeCanonical), recorded once so that the generator, the
+ * cache hierarchy and the DRAM bank model can each be timed alone.
+ */
+struct LayerStreams
+{
+    struct Access
+    {
+        std::uint64_t addr;
+        bool isWrite;
+    };
+    static constexpr std::size_t kSamples = 8;
+    static constexpr Count kStream = 20'000;
+
+    std::vector<std::pair<PhaseSpec, std::uint64_t>> streams;
+    std::vector<Access> refs[kSamples];  ///< memory references
+    std::vector<Access> dram[kSamples];  ///< DRAM requests they cause
+
+    static const LayerStreams &
+    of(const char *name)
+    {
+        static std::map<std::string, LayerStreams> recorded;
+        auto [it, fresh] = recorded.try_emplace(name);
+        if (fresh)
+            it->second.record(workloadByName(name));
+        return it->second;
+    }
+
+  private:
+    void
+    record(const WorkloadProfile &workload)
+    {
+        CacheHierarchy hierarchy(HierarchyConfig::paperDefault());
+        for (std::size_t s = 0; s < kSamples; ++s) {
+            hierarchy.reset();
+            for (std::uint64_t k = 0; k < 3; ++k) {
+                streams.emplace_back(workload.phaseFor(s),
+                                     workload.traceSeedFor(s) + k);
+                TraceGenerator gen(streams.back().first,
+                                   streams.back().second);
+                for (Count i = 0; i < kStream; ++i) {
+                    const InstrRecord rec = gen.next();
+                    if (!isMemory(rec.kind))
+                        continue;
+                    const bool is_write = rec.kind == InstrKind::Store;
+                    refs[s].push_back({rec.addr, is_write});
+                    const HierarchyOutcome outcome =
+                        hierarchy.access(rec.addr, is_write);
+                    for (std::uint8_t d = 0; d < outcome.dramCount; ++d) {
+                        dram[s].push_back({outcome.dram[d].addr,
+                                           outcome.dram[d].isWrite});
+                    }
+                }
+            }
+        }
+    }
+};
+
+/** Instruction generation alone; items are instructions. */
+void
+BM_LayerGenerate(benchmark::State &state, const char *name)
+{
+    const LayerStreams &streams = LayerStreams::of(name);
+    for (auto _ : state) {
+        for (const auto &[phase, seed] : streams.streams) {
+            TraceGenerator gen(phase, seed);
+            for (Count i = 0; i < LayerStreams::kStream; ++i)
+                benchmark::DoNotOptimize(gen.next());
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * streams.streams.size() *
+        LayerStreams::kStream));
+}
+BENCHMARK_CAPTURE(BM_LayerGenerate, gobmk, "gobmk");
+BENCHMARK_CAPTURE(BM_LayerGenerate, milc, "milc");
+BENCHMARK_CAPTURE(BM_LayerGenerate, mcf, "mcf");
+
+/**
+ * The L1/L2 hierarchy alone, from a reset per sample (untimed); items
+ * are memory references.
+ */
+void
+BM_LayerHierarchy(benchmark::State &state, const char *name)
+{
+    const LayerStreams &streams = LayerStreams::of(name);
+    CacheHierarchy hierarchy(HierarchyConfig::paperDefault());
+    std::int64_t items = 0;
+    for (auto _ : state) {
+        for (const auto &refs : streams.refs) {
+            state.PauseTiming();
+            hierarchy.reset();
+            state.ResumeTiming();
+            for (const LayerStreams::Access &ref : refs) {
+                benchmark::DoNotOptimize(
+                    hierarchy.access(ref.addr, ref.isWrite));
+            }
+            items += static_cast<std::int64_t>(refs.size());
+        }
+    }
+    state.SetItemsProcessed(items);
+}
+BENCHMARK_CAPTURE(BM_LayerHierarchy, gobmk, "gobmk");
+BENCHMARK_CAPTURE(BM_LayerHierarchy, milc, "milc");
+BENCHMARK_CAPTURE(BM_LayerHierarchy, mcf, "mcf");
+
+/** The DRAM bank model alone; items are DRAM requests. */
+void
+BM_LayerDram(benchmark::State &state, const char *name)
+{
+    const LayerStreams &streams = LayerStreams::of(name);
+    DramDevice dram(DramConfig{});
+    std::int64_t items = 0;
+    for (auto _ : state) {
+        for (const auto &requests : streams.dram) {
+            dram.reset();
+            for (const LayerStreams::Access &req : requests)
+                benchmark::DoNotOptimize(dram.access(req.addr, req.isWrite));
+            items += static_cast<std::int64_t>(requests.size());
+        }
+    }
+    state.SetItemsProcessed(items);
+}
+BENCHMARK_CAPTURE(BM_LayerDram, gobmk, "gobmk");
+BENCHMARK_CAPTURE(BM_LayerDram, milc, "milc");
+BENCHMARK_CAPTURE(BM_LayerDram, mcf, "mcf");
+
+/** The reset every profile-cache miss starts with. */
+void
+BM_LayerReset(benchmark::State &state)
+{
+    CacheHierarchy hierarchy(HierarchyConfig::paperDefault());
+    DramDevice dram(DramConfig{});
+    for (auto _ : state) {
+        hierarchy.reset();
+        dram.reset();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_LayerReset);
 
 void
 BM_HillClimbCold70(benchmark::State &state)

@@ -38,19 +38,9 @@ class ByteWriter
         buffer_.push_back(static_cast<char>(value));
     }
 
-    void
-    u32(std::uint32_t value)
-    {
-        for (int i = 0; i < 4; ++i)
-            buffer_.push_back(static_cast<char>(value >> (8 * i)));
-    }
+    void u32(std::uint32_t value) { appendLittleEndian(value); }
 
-    void
-    u64(std::uint64_t value)
-    {
-        for (int i = 0; i < 8; ++i)
-            buffer_.push_back(static_cast<char>(value >> (8 * i)));
-    }
+    void u64(std::uint64_t value) { appendLittleEndian(value); }
 
     /** Double by bit pattern (exact round trip). */
     void
@@ -73,6 +63,17 @@ class ByteWriter
     std::string take() { return std::move(buffer_); }
 
   private:
+    /** One append of the value's bytes, least significant first. */
+    template <typename Word>
+    void
+    appendLittleEndian(Word value)
+    {
+        char bytes[sizeof(Word)];
+        for (std::size_t i = 0; i < sizeof(Word); ++i)
+            bytes[i] = static_cast<char>(value >> (8 * i));
+        buffer_.append(bytes, sizeof(Word));
+    }
+
     std::string buffer_;
 };
 

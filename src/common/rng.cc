@@ -21,12 +21,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -40,40 +34,24 @@ Rng::Rng(std::uint64_t seed)
         state_[0] = 0x9e3779b97f4a7c15ull;
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits give a uniform double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t bound)
+Rng::Bound::Bound(std::uint64_t bound)
+    : bound_(bound)
 {
     MCDVFS_ASSERT(bound > 0, "uniformInt bound must be positive");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    threshold_ = (0 - bound) % bound;
+}
+
+std::uint64_t
+Rng::uniform53Threshold(double p)
+{
+    // uniform() == m * 2^-53 for the integer m = uniform53() < 2^53,
+    // and scaling by 2^53 is exact, so uniform() < p <=> m < p * 2^53
+    // <=> m < ceil(p * 2^53).
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return 1ull << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 std::int64_t
@@ -82,16 +60,6 @@ Rng::uniformRange(std::int64_t lo, std::int64_t hi)
     MCDVFS_ASSERT(lo <= hi, "uniformRange requires lo <= hi");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 std::uint64_t

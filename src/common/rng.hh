@@ -6,6 +6,10 @@
  * machines, so mcdvfs does not use std::mt19937 (whose distributions
  * are implementation-defined).  Rng implements xoshiro256** seeded via
  * SplitMix64, with distribution helpers defined by this library.
+ *
+ * The draws the trace generator makes per simulated instruction
+ * (next(), uniform53(), uniformInt() over a precomputed Bound,
+ * chance()) are defined here so they inline into its loop.
  */
 
 #ifndef MCDVFS_COMMON_RNG_HH
@@ -20,23 +24,100 @@ namespace mcdvfs
 class Rng
 {
   public:
+    /**
+     * A uniformInt() bound with its rejection threshold computed once,
+     * so that loops drawing from one range many times divide once per
+     * draw instead of twice.
+     */
+    class Bound
+    {
+      public:
+        /** @param bound exclusive upper end of the range, > 0 */
+        explicit Bound(std::uint64_t bound);
+
+      private:
+        friend class Rng;
+
+        std::uint64_t bound_;
+        /** Draws below this are rejected: (2^64 - bound) % bound. */
+        std::uint64_t threshold_;
+    };
+
     /** Seed deterministically from a 64-bit seed via SplitMix64. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
+
+    /**
+     * The 53 high bits of one draw: uniform() is exactly
+     * uniform53() * 2^-53, so a probability test can compare integers
+     * against uniform53Threshold() instead.
+     */
+    std::uint64_t uniform53() { return next() >> 11; }
+
+    /**
+     * The threshold T with uniform53() < T exactly when the same draw
+     * gives uniform() < p: ceil(p * 2^53), clamped to [0, 2^53].
+     */
+    static std::uint64_t uniform53Threshold(double p);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        return static_cast<double>(uniform53()) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) without modulo bias; bound > 0. */
-    std::uint64_t uniformInt(std::uint64_t bound);
+    std::uint64_t
+    uniformInt(std::uint64_t bound)
+    {
+        return uniformInt(Bound(bound));
+    }
+
+    /** uniformInt() over a precomputed bound. */
+    std::uint64_t
+    uniformInt(const Bound &bound)
+    {
+        // Rejection sampling to avoid modulo bias.
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= bound.threshold_)
+                return r % bound.bound_;
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive; requires lo <= hi. */
     std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
 
-    /** Bernoulli draw: true with probability p (clamped to [0,1]). */
-    bool chance(double p);
+    /**
+     * Bernoulli draw: true with probability p (clamped to [0,1]).
+     * Consumes no draw when p <= 0 or p >= 1.
+     */
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Geometric draw: number of failures before the first success with
@@ -51,6 +132,12 @@ class Rng
     Rng fork();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state_[4];
 };
 

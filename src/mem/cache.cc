@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -17,8 +18,10 @@ CacheConfig::numSets() const
 void
 CacheConfig::validate() const
 {
-    if (lineBytes == 0 || !std::has_single_bit(lineBytes))
-        fatal("cache '", name, "': line size must be a power of two");
+    if (lineBytes < 2 || !std::has_single_bit(lineBytes)) {
+        fatal("cache '", name,
+              "': line size must be a power of two of at least 2 bytes");
+    }
     if (associativity == 0)
         fatal("cache '", name, "': associativity must be positive");
     if (sizeBytes % (static_cast<std::uint64_t>(lineBytes) *
@@ -44,130 +47,55 @@ Cache::Cache(const CacheConfig &config)
     : config_(config)
 {
     config_.validate();
-    numSets_ = config_.numSets();
-    lineShift_ = std::countr_zero(
-        static_cast<std::uint64_t>(config_.lineBytes));
-    lines_.assign(numSets_ * config_.associativity, Line{});
+    const std::uint64_t sets = config_.numSets();
+    ways_ = config_.associativity;
+    lineShift_ = std::countr_zero(config_.lineBytes);
+    setShift_ = std::countr_zero(sets);
+    setMask_ = sets - 1;
+    tags_.assign(sets * ways_, kInvalidTag);
+    lastUse_.assign(sets * ways_, 0);
+    dirty_.assign(sets * ways_, 0);
 }
 
 void
 Cache::reset()
 {
-    lines_.assign(numSets_ * config_.associativity, Line{});
+    // Only the tags: the LRU time and dirty bit of an invalid way are
+    // never read, and insert() writes both.
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
     useClock_ = 0;
     stats_ = CacheStats{};
 }
 
-Cache::Line *
-Cache::findLine(std::uint64_t set, std::uint64_t tag)
-{
-    Line *base = &lines_[set * config_.associativity];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    }
-    return nullptr;
-}
-
-Cache::Line *
-Cache::victimLine(std::uint64_t set)
-{
-    Line *base = &lines_[set * config_.associativity];
-    Line *victim = &base[0];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (!base[way].valid)
-            return &base[way];
-        if (base[way].lastUse < victim->lastUse)
-            victim = &base[way];
-    }
-    return victim;
-}
-
-std::uint64_t
-Cache::lineAddrOf(std::uint64_t set, std::uint64_t tag) const
-{
-    return ((tag * numSets_) + set) << lineShift_;
-}
-
 CacheAccessResult
-Cache::insert(std::uint64_t set, std::uint64_t tag, bool dirty)
+Cache::insert(const Location &loc, bool dirty)
 {
+    // Valid ways carry distinct times >= 1; an invalid one counts as
+    // time 0, so the first minimum is the first invalid way if there
+    // is one and the least recently used way otherwise.
+    const std::uint64_t *tags = tags_.data() + loc.base;
+    const std::uint64_t *last_use = lastUse_.data() + loc.base;
+    std::uint32_t victim = 0;
+    std::uint64_t oldest = ~0ull;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        const std::uint64_t used =
+            tags[w] == kInvalidTag ? 0 : last_use[w];
+        const bool older = used < oldest;
+        oldest = older ? used : oldest;
+        victim = older ? w : victim;
+    }
+
     CacheAccessResult result;
-    Line *victim = victimLine(set);
-    if (victim->valid && victim->dirty) {
+    const std::uint64_t slot = loc.base + victim;
+    if (tags_[slot] != kInvalidTag && dirty_[slot]) {
         result.writeback = true;
-        result.writebackAddr = lineAddrOf(set, victim->tag);
+        result.writebackAddr = ((tags_[slot] << setShift_) | loc.set)
+                               << lineShift_;
         ++stats_.writebacks;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = tag;
-    victim->lastUse = ++useClock_;
-    return result;
-}
-
-CacheAccessResult
-Cache::access(std::uint64_t addr, bool is_write)
-{
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (numSets_ - 1);
-    const std::uint64_t tag = line_addr / numSets_;
-
-    if (is_write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
-
-    if (Line *line = findLine(set, tag)) {
-        line->lastUse = ++useClock_;
-        if (is_write)
-            line->dirty = true;
-        CacheAccessResult result;
-        result.hit = true;
-        return result;
-    }
-
-    if (is_write)
-        ++stats_.writeMisses;
-    else
-        ++stats_.readMisses;
-
-    // Write-allocate: fetch the line, mark dirty on stores.
-    CacheAccessResult result = insert(set, tag, is_write);
-    result.hit = false;
-    return result;
-}
-
-bool
-Cache::probe(std::uint64_t addr) const
-{
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (numSets_ - 1);
-    const std::uint64_t tag = line_addr / numSets_;
-    const Line *base = &lines_[set * config_.associativity];
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (base[way].valid && base[way].tag == tag)
-            return true;
-    }
-    return false;
-}
-
-CacheAccessResult
-Cache::fill(std::uint64_t addr, bool dirty)
-{
-    const std::uint64_t line_addr = addr >> lineShift_;
-    const std::uint64_t set = line_addr & (numSets_ - 1);
-    const std::uint64_t tag = line_addr / numSets_;
-
-    if (Line *line = findLine(set, tag)) {
-        line->lastUse = ++useClock_;
-        line->dirty = line->dirty || dirty;
-        CacheAccessResult result;
-        result.hit = true;
-        return result;
-    }
-    CacheAccessResult result = insert(set, tag, dirty);
-    result.hit = false;
+    tags_[slot] = loc.tag;
+    dirty_[slot] = dirty;
+    lastUse_[slot] = ++useClock_;
     return result;
 }
 

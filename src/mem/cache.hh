@@ -12,6 +12,7 @@
 #ifndef MCDVFS_MEM_CACHE_HH
 #define MCDVFS_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,7 +36,8 @@ struct CacheConfig
     std::uint64_t numSets() const;
 
     /**
-     * Validate the geometry (power-of-two line size and set count).
+     * Validate the geometry (power-of-two line size of at least 2
+     * bytes, power-of-two set count).
      * @throws FatalError on inconsistent geometry.
      */
     void validate() const;
@@ -67,7 +69,15 @@ struct CacheStats
     double missRatio() const;
 };
 
-/** One level of set-associative cache with true-LRU replacement. */
+/**
+ * One level of set-associative cache with true-LRU replacement.
+ *
+ * Ways are stored structure-of-arrays (tags, LRU timestamps, dirty
+ * bits), so one set's tags are contiguous, and on the paper's 4- and
+ * 16-way levels a lookup compares them all without a data-dependent
+ * branch.  The access path runs once or twice per simulated memory
+ * reference and is defined in this header.
+ */
 class Cache
 {
   public:
@@ -81,16 +91,40 @@ class Cache
      * @param is_write store (marks the line dirty)
      * @return hit/miss and any writeback generated
      */
-    CacheAccessResult access(std::uint64_t addr, bool is_write);
+    CacheAccessResult
+    access(std::uint64_t addr, bool is_write)
+    {
+        const Location loc = locate(addr);
+        stats_.writes += is_write;
+        stats_.reads += !is_write;
+        if (const std::uint32_t way = findWay(loc.base, loc.tag))
+            return recordHit(loc.base + way - 1, is_write);
+        stats_.writeMisses += is_write;
+        stats_.readMisses += !is_write;
+        // Write-allocate: fetch the line, mark dirty on stores.
+        return insert(loc, is_write);
+    }
 
     /**
      * Install a line without an allocate-triggering access (used for
      * writeback-allocation into the next level).
      */
-    CacheAccessResult fill(std::uint64_t addr, bool dirty);
+    CacheAccessResult
+    fill(std::uint64_t addr, bool dirty)
+    {
+        const Location loc = locate(addr);
+        if (const std::uint32_t way = findWay(loc.base, loc.tag))
+            return recordHit(loc.base + way - 1, dirty);
+        return insert(loc, dirty);
+    }
 
     /** Check for a line without touching LRU state or counters. */
-    bool probe(std::uint64_t addr) const;
+    bool
+    probe(std::uint64_t addr) const
+    {
+        const Location loc = locate(addr);
+        return findWay(loc.base, loc.tag) != 0;
+    }
 
     /** Reset contents and statistics. */
     void reset();
@@ -105,30 +139,97 @@ class Cache
     const CacheConfig &config() const { return config_; }
 
   private:
-    struct Line
+    /** Where a line lives: its set, the set's first way, its tag. */
+    struct Location
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;  ///< LRU timestamp
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t set;
+        std::uint64_t base;
+        std::uint64_t tag;
     };
 
-    /** Find the line holding @c tag in @c set, or nullptr. */
-    Line *findLine(std::uint64_t set, std::uint64_t tag);
+    Location
+    locate(std::uint64_t addr) const
+    {
+        const std::uint64_t line = addr >> lineShift_;
+        const std::uint64_t set = line & setMask_;
+        return {set, set * ways_, line >> setShift_};
+    }
 
-    /** Choose the victim way in @c set (invalid first, then LRU). */
-    Line *victimLine(std::uint64_t set);
+    /** Make the valid way @c slot most recently used, dirty if @c dirty. */
+    CacheAccessResult
+    recordHit(std::uint64_t slot, bool dirty)
+    {
+        lastUse_[slot] = ++useClock_;
+        dirty_[slot] |= dirty;
+        CacheAccessResult result;
+        result.hit = true;
+        return result;
+    }
 
-    /** Insert @c tag into @c set, returning any dirty eviction. */
-    CacheAccessResult insert(std::uint64_t set, std::uint64_t tag,
-                             bool dirty);
+    /**
+     * Tag of an invalid way.  Lines are at least 2 bytes, so a real tag
+     * is at most 63 bits wide and never equals it.
+     */
+    static constexpr std::uint64_t kInvalidTag = ~0ull;
 
-    std::uint64_t lineAddrOf(std::uint64_t set, std::uint64_t tag) const;
+    /**
+     * 1 + the way of the set starting at @c base that holds @c tag, or
+     * 0 on a miss.  With the way count known only at run time, GCC
+     * compiles the loop to a compare and branch per way below 16 ways
+     * and to a vector loop plus a horizontal reduction at 16, so the
+     * paper's 4-way L1 and 16-way L2 get matchWay(), a straight-line
+     * compare of every way (docs/PERF.md "What each technique is
+     * worth" has the A/B).
+     */
+    std::uint32_t
+    findWay(std::uint64_t base, std::uint64_t tag) const
+    {
+        const std::uint64_t *tags = tags_.data() + base;
+        switch (ways_) {
+          case 4:
+            return matchWay<4>(tags, tag);
+          case 16:
+            return matchWay<16>(tags, tag);
+          default:
+            break;
+        }
+        std::uint32_t way = 0;
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            way |= tags[w] == tag ? w + 1 : 0;
+        return way;
+    }
+
+    /**
+     * findWay() over @c Ways ways: a tag is in a set at most once, so
+     * the match mask has at most one bit, and its width is 1 + the way.
+     */
+    template <std::uint32_t Ways>
+    static std::uint32_t
+    matchWay(const std::uint64_t *tags, std::uint64_t tag)
+    {
+        std::uint64_t mask = 0;
+        for (std::uint32_t w = 0; w < Ways; ++w)
+            mask |= static_cast<std::uint64_t>(tags[w] == tag) << w;
+        return static_cast<std::uint32_t>(std::bit_width(mask));
+    }
+
+    /**
+     * Insert the line at @c loc, evicting the first invalid way or else
+     * the least recently used one; returns any dirty eviction.
+     */
+    CacheAccessResult insert(const Location &loc, bool dirty);
 
     CacheConfig config_;
-    std::uint64_t numSets_;
+    std::uint32_t ways_;
     std::uint32_t lineShift_;
-    std::vector<Line> lines_;   ///< numSets * associativity, set-major
+    std::uint32_t setShift_;
+    std::uint64_t setMask_;
+    /** @name Per way, numSets * associativity, set-major. */
+    ///@{
+    std::vector<std::uint64_t> tags_;     ///< kInvalidTag when empty
+    std::vector<std::uint64_t> lastUse_;  ///< LRU timestamp if valid
+    std::vector<std::uint8_t> dirty_;     ///< meaningful if valid
+    ///@}
     std::uint64_t useClock_ = 0;
     CacheStats stats_;
 };

@@ -66,37 +66,10 @@ DramDevice::DramDevice(const DramConfig &config)
     : config_(config)
 {
     config_.validate();
+    rowShift_ = std::countr_zero(config_.rowBytes);
+    bankShift_ = std::countr_zero(config_.banks);
+    bankMask_ = config_.banks - 1;
     banks_.assign(config_.banks, Bank{});
-}
-
-RowOutcome
-DramDevice::access(std::uint64_t addr, bool is_write)
-{
-    // column-low / bank-mid / row-high mapping.
-    const std::uint64_t row_addr = addr / config_.rowBytes;
-    const std::uint64_t bank_idx = row_addr % config_.banks;
-    const std::uint64_t row = row_addr / config_.banks;
-
-    if (is_write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
-
-    Bank &bank = banks_[bank_idx];
-    RowOutcome outcome;
-    if (!bank.rowOpen) {
-        outcome = RowOutcome::Closed;
-        ++stats_.rowClosed;
-    } else if (bank.openRow == row) {
-        outcome = RowOutcome::Hit;
-        ++stats_.rowHits;
-    } else {
-        outcome = RowOutcome::Conflict;
-        ++stats_.rowConflicts;
-    }
-    bank.rowOpen = true;
-    bank.openRow = row;
-    return outcome;
 }
 
 void

@@ -110,7 +110,33 @@ class DramDevice
     explicit DramDevice(const DramConfig &config);
 
     /** Classify one transaction and update bank state. */
-    RowOutcome access(std::uint64_t addr, bool is_write);
+    RowOutcome
+    access(std::uint64_t addr, bool is_write)
+    {
+        // column-low / bank-mid / row-high mapping; the row size and
+        // bank count are validated powers of two.
+        const std::uint64_t row_addr = addr >> rowShift_;
+        Bank &bank = banks_[row_addr & bankMask_];
+        const std::uint64_t row = row_addr >> bankShift_;
+
+        stats_.writes += is_write;
+        stats_.reads += !is_write;
+
+        RowOutcome outcome;
+        if (!bank.rowOpen) {
+            outcome = RowOutcome::Closed;
+            ++stats_.rowClosed;
+        } else if (bank.openRow == row) {
+            outcome = RowOutcome::Hit;
+            ++stats_.rowHits;
+        } else {
+            outcome = RowOutcome::Conflict;
+            ++stats_.rowConflicts;
+        }
+        bank.rowOpen = true;
+        bank.openRow = row;
+        return outcome;
+    }
 
     /** Precharge all banks and clear statistics. */
     void reset();
@@ -129,6 +155,9 @@ class DramDevice
     };
 
     DramConfig config_;
+    std::uint32_t rowShift_;
+    std::uint32_t bankShift_;
+    std::uint64_t bankMask_;
     std::vector<Bank> banks_;
     DramStats stats_;
 };

@@ -50,16 +50,9 @@ SampleSimulator::SampleSimulator(const SampleSimulatorConfig &config)
         fatal("sample simulator: simInstructionsPerSample must be > 0");
 }
 
+template <class Source>
 SampleProfile
-SampleSimulator::runSample(const PhaseSpec &spec, std::uint64_t seed,
-                           Count instructions)
-{
-    TraceGenerator gen(spec, seed);
-    return profileFromSource(gen, instructions, spec);
-}
-
-SampleProfile
-SampleSimulator::profileFromSource(TraceSource &gen, Count instructions,
+SampleSimulator::profileFromSource(Source &gen, Count instructions,
                                    const PhaseSpec &spec)
 {
     hierarchy_.clearStats();
@@ -71,12 +64,10 @@ SampleSimulator::profileFromSource(TraceSource &gen, Count instructions,
     Count gpu_kicks = 0;
     for (Count i = 0; i < instructions; ++i) {
         const InstrRecord instr = gen.next();
-        if (instr.kind == InstrKind::GpuKick) {
-            ++gpu_kicks;
+        if (!isMemory(instr.kind)) {
+            gpu_kicks += instr.kind == InstrKind::GpuKick;
             continue;
         }
-        if (!isMemory(instr.kind))
-            continue;
         const bool is_write = instr.kind == InstrKind::Store;
         const HierarchyOutcome outcome =
             hierarchy_.access(instr.addr, is_write);
@@ -93,7 +84,6 @@ SampleSimulator::profileFromSource(TraceSource &gen, Count instructions,
     }
 
     const auto &l1 = hierarchy_.l1().stats();
-    const auto &l2 = hierarchy_.l2().stats();
     const auto &dram_stats = dram_.stats();
     const double n = static_cast<double>(instructions);
 
@@ -124,8 +114,15 @@ SampleSimulator::profileFromSource(TraceSource &gen, Count instructions,
         profile.rowConflictFrac =
             static_cast<double>(dram_stats.rowConflicts) / dn;
     }
-    (void)l2;
     return profile;
+}
+
+SampleProfile
+SampleSimulator::runSample(const PhaseSpec &spec, std::uint64_t seed,
+                           Count instructions)
+{
+    TraceGenerator gen(spec, seed);
+    return profileFromSource(gen, instructions, spec);
 }
 
 SampleProfile

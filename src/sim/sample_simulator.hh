@@ -142,9 +142,13 @@ class SampleSimulator
     std::vector<SampleProfile> characterizeSequential(
         const WorkloadProfile &workload);
 
-    /** Push @c instructions from @c source through the hierarchy. */
-    SampleProfile profileFromSource(TraceSource &source,
-                                    Count instructions,
+    /**
+     * Push @c instructions from @c source through the hierarchy.  The
+     * one characterization loop: TraceGenerator instantiates it with
+     * next() inlined, recorded traces through the TraceSource base.
+     */
+    template <class Source>
+    SampleProfile profileFromSource(Source &source, Count instructions,
                                     const PhaseSpec &meta);
 
     SampleSimulatorConfig config_;

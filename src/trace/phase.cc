@@ -36,8 +36,17 @@ PhaseSpec::validate() const
         fatal("phase '", name, "': gpuActivity out of [0,1]");
     if (gpuCyclesPerKick < 0.0)
         fatal("phase '", name, "': gpuCyclesPerKick must be >= 0");
-    if (hotBytes == 0 || warmBytes == 0 || coldBytes == 0)
-        fatal("phase '", name, "': footprint sizes must be positive");
+    const auto check_footprint = [this](const char *field,
+                                        std::uint64_t bytes) {
+        if (bytes < kAccessBytes) {
+            fatal("phase '", name, "': ", field, " (", bytes,
+                  ") is smaller than one ", kAccessBytes,
+                  "-byte access");
+        }
+    };
+    check_footprint("hotBytes", hotBytes);
+    check_footprint("warmBytes", warmBytes);
+    check_footprint("coldBytes", coldBytes);
 }
 
 std::uint64_t

@@ -22,6 +22,12 @@ namespace mcdvfs
 /** Behavioural parameters of one workload phase. */
 struct PhaseSpec
 {
+    /**
+     * Bytes per synthetic memory reference (one word); every footprint
+     * tier must hold at least one.
+     */
+    static constexpr std::uint64_t kAccessBytes = 8;
+
     /** Phase label (for traces and debugging). */
     std::string name = "default";
 

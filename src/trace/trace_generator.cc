@@ -6,88 +6,45 @@ namespace mcdvfs
 namespace
 {
 
-/** Access granularity of the synthetic stream (one word). */
-constexpr std::uint64_t kAccessBytes = 8;
+/** @c spec, once validate() has accepted it. */
+const PhaseSpec &
+validated(const PhaseSpec &spec)
+{
+    spec.validate();
+    return spec;
+}
 
 } // namespace
 
 TraceGenerator::TraceGenerator(const PhaseSpec &spec, std::uint64_t seed)
-    : spec_(spec), rng_(seed)
+    : spec_(validated(spec)), rng_(seed),
+      tiers_{Tier{kHotBase,
+                  Rng::Bound(spec_.hotBytes / PhaseSpec::kAccessBytes)},
+             Tier{kWarmBase,
+                  Rng::Bound(spec_.warmBytes / PhaseSpec::kAccessBytes)}},
+      coldWords_(spec_.coldBytes / PhaseSpec::kAccessBytes)
 {
-    spec_.validate();
+    // Cumulative edges in mix order (load, store, branch, fp, mul, GPU
+    // kick).  A draw below an edge's uniform53Threshold() is exactly a
+    // uniform() below the edge.
+    double edge = spec_.loadFrac;
+    loadEdge_ = Rng::uniform53Threshold(edge);
+    edge += spec_.storeFrac;
+    memEdge_ = Rng::uniform53Threshold(edge);
+    // A GPU kick edge of 0 (CPU-only phases) leaves the sum unchanged,
+    // so the stream is identical to the two-domain generator's.
+    const double op_fracs[] = {spec_.branchFrac, spec_.fpFrac,
+                               spec_.mulFrac, spec_.gpuKickFrac};
+    for (std::size_t i = 0; i < opEdges_.size(); ++i) {
+        edge += op_fracs[i];
+        opEdges_[i] = Rng::uniform53Threshold(edge);
+    }
+    hotEdge_ = Rng::uniform53Threshold(spec_.hotFrac);
+    warmEdge_ = Rng::uniform53Threshold(spec_.hotFrac + spec_.warmFrac);
+
     // Start the sequential cold stream at a seed-dependent offset so
     // different samples touch different rows.
-    coldCursor_ = rng_.uniformInt(spec_.coldBytes / kAccessBytes) *
-                  kAccessBytes;
-}
-
-std::uint64_t
-TraceGenerator::nextAddress()
-{
-    const double tier = rng_.uniform();
-    if (tier < spec_.hotFrac) {
-        const std::uint64_t words = spec_.hotBytes / kAccessBytes;
-        return kHotBase + rng_.uniformInt(words) * kAccessBytes;
-    }
-    if (tier < spec_.hotFrac + spec_.warmFrac) {
-        const std::uint64_t words = spec_.warmBytes / kAccessBytes;
-        return kWarmBase + rng_.uniformInt(words) * kAccessBytes;
-    }
-    // Cold tier: sequential stream or uniform random.
-    if (rng_.chance(spec_.coldSeqFrac)) {
-        const std::uint64_t addr = kColdBase + coldCursor_;
-        coldCursor_ += kAccessBytes;
-        if (coldCursor_ >= spec_.coldBytes)
-            coldCursor_ = 0;
-        return addr;
-    }
-    const std::uint64_t words = spec_.coldBytes / kAccessBytes;
-    return kColdBase + rng_.uniformInt(words) * kAccessBytes;
-}
-
-InstrRecord
-TraceGenerator::next()
-{
-    InstrRecord rec;
-    const double k = rng_.uniform();
-    double edge = spec_.loadFrac;
-    if (k < edge) {
-        rec.kind = InstrKind::Load;
-        rec.addr = nextAddress();
-        return rec;
-    }
-    edge += spec_.storeFrac;
-    if (k < edge) {
-        rec.kind = InstrKind::Store;
-        rec.addr = nextAddress();
-        return rec;
-    }
-    edge += spec_.branchFrac;
-    if (k < edge) {
-        rec.kind = InstrKind::Branch;
-        return rec;
-    }
-    edge += spec_.fpFrac;
-    if (k < edge) {
-        rec.kind = InstrKind::FpOp;
-        return rec;
-    }
-    edge += spec_.mulFrac;
-    if (k < edge) {
-        rec.kind = InstrKind::IntMul;
-        return rec;
-    }
-    // GPU kick edge: gpuKickFrac is 0 for CPU-only phases, so the edge
-    // collapses (edge += 0.0 leaves the bits unchanged) and the branch
-    // structure — and therefore the RNG stream — is identical to the
-    // two-domain generator.
-    edge += spec_.gpuKickFrac;
-    if (k < edge) {
-        rec.kind = InstrKind::GpuKick;
-        return rec;
-    }
-    rec.kind = InstrKind::IntAlu;
-    return rec;
+    coldCursor_ = rng_.uniformInt(coldWords_) * PhaseSpec::kAccessBytes;
 }
 
 void

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -149,6 +150,36 @@ TEST(Rng, ForkProducesIndependentStream)
     for (int i = 0; i < 100; ++i)
         same += parent.next() == child.next();
     EXPECT_LT(same, 3);
+}
+
+TEST(Rng, Uniform53ThresholdDecidesLikeUniform)
+{
+    std::vector<double> ps = {
+        -1.0, -0.0, 0.0, 5e-324, 1e-300, 0x1.0p-53, 0.1, 0.3, 0.5,
+        1.0 - 0x1.0p-53, 1.0, 1.0 + 1e-9, 2.0,
+        std::numeric_limits<double>::quiet_NaN()};
+    Rng pick(5);
+    for (int i = 0; i < 200; ++i)
+        ps.push_back(pick.uniform());
+
+    for (const double p : ps) {
+        const std::uint64_t threshold = Rng::uniform53Threshold(p);
+        // Random draws, through both spellings of the same test.
+        Rng a(17);
+        Rng b(17);
+        for (int i = 0; i < 500; ++i)
+            ASSERT_EQ(a.uniform53() < threshold, b.uniform() < p) << p;
+        // The draws on either side of the threshold, which random
+        // draws almost never reach.
+        for (const std::uint64_t m : {threshold - 1, threshold,
+                                      threshold + 1}) {
+            if (m >= (1ull << 53))
+                continue;
+            EXPECT_EQ(m < threshold,
+                      static_cast<double>(m) * 0x1.0p-53 < p)
+                << "p " << p << ", draw " << m;
+        }
+    }
 }
 
 /** Property sweep: uniformInt stays in range for many bounds. */

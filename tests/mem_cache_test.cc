@@ -48,6 +48,14 @@ TEST(CacheConfig, GeometryValidation)
     config = smallConfig();
     config.associativity = 3;  // 1024/64/3 not a power of two
     EXPECT_THROW(config.validate(), FatalError);
+
+    config = smallConfig();
+    config.lineBytes = 1;  // a 64-bit tag would need all 64 bits
+    config.sizeBytes = 2;
+    EXPECT_THROW(config.validate(), FatalError);
+    config.lineBytes = 2;
+    config.sizeBytes = 4;
+    EXPECT_NO_THROW(config.validate());
 }
 
 TEST(CacheConfig, NumSets)
@@ -175,8 +183,110 @@ TEST(Cache, WorkingSetWithinCapacityAlwaysHitsAfterWarmup)
 }
 
 /**
- * Property: the cache agrees with a simple reference model (per-set
- * LRU list) on hit/miss for random access streams, across geometries.
+ * Reference model: per set, a list of (tag, dirty) lines with the most
+ * recently used at the back, and the counters the cache keeps.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint64_t sets, std::uint32_t ways)
+        : sets_(sets), ways_(ways)
+    {}
+
+    CacheAccessResult
+    access(std::uint64_t line, bool is_write)
+    {
+        ++(is_write ? stats_.writes : stats_.reads);
+        const CacheAccessResult result = touch(line, is_write);
+        if (!result.hit)
+            ++(is_write ? stats_.writeMisses : stats_.readMisses);
+        return result;
+    }
+
+    CacheAccessResult fill(std::uint64_t line, bool dirty)
+    {
+        return touch(line, dirty);
+    }
+
+    bool
+    probe(std::uint64_t line) const
+    {
+        const auto it = sets_map_.find(line % sets_);
+        if (it == sets_map_.end())
+            return false;
+        return std::any_of(it->second.begin(), it->second.end(),
+                           [&](const Line &l) {
+                               return l.tag == line / sets_;
+                           });
+    }
+
+    void
+    reset()
+    {
+        sets_map_.clear();
+        stats_ = CacheStats{};
+    }
+
+    void clearStats() { stats_ = CacheStats{}; }
+    const CacheStats &stats() const { return stats_; }
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag;
+        bool dirty;
+    };
+
+    CacheAccessResult
+    touch(std::uint64_t line, bool dirty)
+    {
+        const std::uint64_t set = line % sets_;
+        const std::uint64_t tag = line / sets_;
+        auto &lines = sets_map_[set];
+        CacheAccessResult result;
+        const auto it =
+            std::find_if(lines.begin(), lines.end(),
+                         [&](const Line &l) { return l.tag == tag; });
+        if (it != lines.end()) {
+            result.hit = true;
+            dirty = dirty || it->dirty;
+            lines.erase(it);
+        } else if (lines.size() == ways_) {
+            if (lines.front().dirty) {
+                result.writeback = true;
+                result.writebackAddr =
+                    (lines.front().tag * sets_ + set) * 64;
+                ++stats_.writebacks;
+            }
+            lines.erase(lines.begin());
+        }
+        lines.push_back(Line{tag, dirty});
+        return result;
+    }
+
+    std::uint64_t sets_;
+    std::uint32_t ways_;
+    std::map<std::uint64_t, std::vector<Line>> sets_map_;
+    CacheStats stats_;
+};
+
+void
+expectSameStats(const CacheStats &got, const CacheStats &want)
+{
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.readMisses, want.readMisses);
+    EXPECT_EQ(got.writeMisses, want.writeMisses);
+    EXPECT_EQ(got.writebacks, want.writebacks);
+}
+
+/**
+ * Property: the cache agrees with the reference model on every result
+ * field and counter for random streams of reads, writes, fills and
+ * probes with resets and counter clears in between, across
+ * geometries.  Most references go to a few sets, so ways fill and
+ * evict dirty lines; some carry tags above 2^40.  A final drain
+ * evicts every resident line, which checks each one's dirty bit.
  */
 struct Geometry
 {
@@ -197,35 +307,73 @@ TEST_P(CacheModelProperty, MatchesReferenceLru)
     Cache cache(config);
 
     const std::uint64_t sets = config.numSets();
-    std::map<std::uint64_t, std::vector<std::uint64_t>> model;
+    const std::uint32_t ways = config.associativity;
+    ReferenceLru model(sets, ways);
+    const std::uint64_t hot_sets = std::min<std::uint64_t>(sets, 4);
+
+    const auto compare = [&](const CacheAccessResult &got,
+                             const CacheAccessResult &want, int i) {
+        ASSERT_EQ(got.hit, want.hit) << "divergence at op " << i;
+        ASSERT_EQ(got.writeback, want.writeback) << "at op " << i;
+        if (want.writeback) {
+            ASSERT_EQ(got.writebackAddr, want.writebackAddr) << i;
+        }
+    };
 
     Rng rng(GetParam().size * 31 + GetParam().assoc);
     for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t line = rng.uniformInt(4 * sets *
-                                                  config.associativity);
-        const std::uint64_t addr = line * 64;
-        const std::uint64_t set = line % sets;
-        const std::uint64_t tag = line / sets;
+        const std::uint64_t set =
+            rng.chance(0.8) ? rng.uniformInt(hot_sets) * (sets / hot_sets)
+                            : rng.uniformInt(sets);
+        std::uint64_t tag = rng.uniformInt(2 * ways + 1);
+        if (rng.chance(0.125))
+            tag += 1ull << 40;
+        const std::uint64_t line = tag * sets + set;
+        const std::uint64_t addr = line * 64 + rng.uniformInt(64);
 
-        auto &ways = model[set];
-        const auto it = std::find(ways.begin(), ways.end(), tag);
-        const bool expect_hit = it != ways.end();
-        if (expect_hit)
-            ways.erase(it);
-        ways.push_back(tag);  // most recent at the back
-        if (ways.size() > config.associativity)
-            ways.erase(ways.begin());
-
-        ASSERT_EQ(cache.access(addr, false).hit, expect_hit)
-            << "divergence at access " << i;
+        const double op = rng.uniform();
+        if (op < 0.6) {
+            const bool is_write = rng.chance(0.5);
+            compare(cache.access(addr, is_write),
+                    model.access(line, is_write), i);
+        } else if (op < 0.9) {
+            const bool dirty = rng.chance(0.5);
+            compare(cache.fill(addr, dirty), model.fill(line, dirty), i);
+        } else {
+            ASSERT_EQ(cache.probe(addr), model.probe(line)) << i;
+        }
+        if (i % 4999 == 4998) {
+            cache.reset();
+            model.reset();
+        } else if (i % 3001 == 3000) {
+            cache.clearStats();
+            model.clearStats();
+        }
+        expectSameStats(cache.stats(), model.stats());
+        if (HasFailure())
+            return;
     }
+
+    // Drain: reading `ways` never-used tags into every set evicts each
+    // resident line, with a writeback exactly when it is dirty.
+    for (std::uint64_t set = 0; set < sets; ++set) {
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            const std::uint64_t line = ((1ull << 41) + w) * sets + set;
+            compare(cache.access(line * 64, false),
+                    model.access(line, false), -1);
+        }
+        if (HasFailure())
+            return;
+    }
+    expectSameStats(cache.stats(), model.stats());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheModelProperty,
     ::testing::Values(Geometry{1024, 1}, Geometry{1024, 2},
-                      Geometry{4096, 4}, Geometry{8192, 8},
-                      Geometry{64 * 1024, 4}, Geometry{4096, 64}));
+                      Geometry{1536, 3}, Geometry{4096, 4},
+                      Geometry{8192, 8}, Geometry{64 * 1024, 4},
+                      Geometry{4096, 64}, Geometry{2 * kMiB, 16}));
 
 } // namespace
 } // namespace mcdvfs

@@ -5,9 +5,22 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
+#include <atomic>
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "common/hash.hh"
+#include "common/logging.hh"
+#include "common/rng.hh"
+#include "sim/grid_runner.hh"
+#include "sim/profile_cache.hh"
 #include "sim/sample_simulator.hh"
+#include "trace/trace_generator.hh"
 
 namespace mcdvfs
 {
@@ -172,6 +185,236 @@ TEST(SampleSimulator, ZeroInstructionConfigThrows)
     SampleSimulatorConfig config;
     config.simInstructionsPerSample = 0;
     EXPECT_THROW(SampleSimulator{config}, FatalError);
+}
+
+/** C spelling of a digest, so a mismatch prints a pasteable constant. */
+std::string
+hex(std::uint64_t value)
+{
+    char text[32];
+    std::snprintf(text, sizeof(text), "0x%016" PRIx64 "ull", value);
+    return text;
+}
+
+// profileDigest() hashes every field; a new one must be added there.
+static_assert(sizeof(SampleProfile) ==
+                  sizeof(std::string) + 14 * sizeof(double),
+              "SampleProfile changed: update profileDigest()");
+
+/** Digest of the bit pattern of every field of every profile. */
+std::uint64_t
+profileDigest(const std::vector<SampleProfile> &profiles)
+{
+    HashBuilder hash;
+    for (const SampleProfile &p : profiles) {
+        hash.add(p.phaseName);
+        // Raw bits: HashBuilder::add(double) folds -0.0 into +0.0.
+        for (const double value :
+             {p.baseCpi, p.activity, p.mlp, p.gpuWorkPerInstr,
+              p.gpuActivity, p.l1Mpki, p.l2Mpki, p.l2PerInstr,
+              p.dramReadsPerInstr, p.dramWritesPerInstr,
+              p.dramPrefetchPerInstr, p.rowHitFrac, p.rowClosedFrac,
+              p.rowConflictFrac})
+            hash.add(std::bit_cast<std::uint64_t>(value));
+    }
+    return hash.digest();
+}
+
+/** The sampler perfbench and fleet_sim run (20k/100k/40k). */
+SampleSimulatorConfig
+perfbenchSampler()
+{
+    SampleSimulatorConfig config;
+    config.simInstructionsPerSample = 20'000;
+    config.warmupInstructions = 100'000;
+    config.profileWarmupInstructions = 40'000;
+    return config;
+}
+
+struct GoldenProfiles
+{
+    const char *name;
+    /**
+     * paperDefault() sequential, paperDefault() canonical, perfbench
+     * sequential, perfbench canonical.
+     */
+    std::uint64_t digest[4];
+};
+
+/**
+ * Every profile of every extendedWorkloads() profile, bit for bit.
+ * Characterization is the only producer of SampleProfiles; the grid,
+ * analysis and snapshot goldens all take these as given.
+ */
+constexpr GoldenProfiles kGoldenProfiles[] = {
+    {"bzip2",
+     {0xf3f08673a1d323ebull, 0x11f47581e3f4a131ull,
+      0x516983ba010e86b5ull, 0x2c1a2938e2e47d5full}},
+    {"gcc",
+     {0x06fad2abcbc2aca2ull, 0x6ae172f08f07eb53ull,
+      0x55dd7c7aab0c9c6full, 0x40b355444523d8e9ull}},
+    {"gobmk",
+     {0x24ba312591441f93ull, 0x47f102966420a699ull,
+      0x8bbaa2ff6f5855adull, 0xc486896240a191e3ull}},
+    {"lbm",
+     {0x9bfd59954e578df3ull, 0x6092b0e934e9782full,
+      0x9fb00d8b6fbcd568ull, 0x631c15ec402a01ffull}},
+    {"libq.",
+     {0xad25b9440fd1e243ull, 0xd2fe81b8e9416726ull,
+      0xbaa1fa9af4a008a0ull, 0xd0a19054be81ceb4ull}},
+    {"milc",
+     {0x0aa1a7d5be05ace7ull, 0xb97a3f3b5a362e5cull,
+      0xb8bd42520b5d54dbull, 0xfedfef34b32b15ceull}},
+    {"mcf",
+     {0x0b546d3df5a19279ull, 0x5a7bc0b59a94db1cull,
+      0xc0657256c51fcbdfull, 0x35aa87f6aa395952ull}},
+    {"hmmer",
+     {0x06ccfd5c99b00055ull, 0xa38b08e99baec3faull,
+      0xbfd1891c4feb7800ull, 0x5479371debe07b7eull}},
+    {"sjeng",
+     {0x048abccaf3b3f3ddull, 0xaa7974a99e6bad22ull,
+      0x5c42a44b3a5b9300ull, 0x756ef7a5e1f48216ull}},
+    {"omnetpp",
+     {0xe1f76c6d9b79c940ull, 0x2584a81d399b8790ull,
+      0xf243fc76436730a3ull, 0x353bec4e015b15e1ull}},
+    {"namd",
+     {0x277bc8278efcd974ull, 0x8439e20a791c483cull,
+      0xa72cb495b44d492dull, 0xb3f4e42a0446189eull}},
+    {"soplex",
+     {0x5c3f9271d6411d64ull, 0x1ba5ced88701137full,
+      0x0a48789640279cd3ull, 0xb03a6fcd46a39d12ull}},
+    {"glrender",
+     {0x5d6b771de9e57218ull, 0x87f2b02b9021bb11ull,
+      0x2348f363a2bff36full, 0x353c42ea67ce3a6eull}},
+};
+
+TEST(SampleSimulator, ProfilesMatchTheGolden)
+{
+    const std::vector<WorkloadProfile> workloads = extendedWorkloads();
+    ASSERT_EQ(workloads.size(), std::size(kGoldenProfiles));
+    const SampleSimulatorConfig samplers[] = {
+        SystemConfig::paperDefault().sampler, perfbenchSampler()};
+
+    // Each digest is independent of the others (sequential
+    // characterization starts from reset caches, a canonical profile
+    // depends only on its key), so the 52 of them run on four threads.
+    constexpr std::size_t kColumns = std::size(GoldenProfiles{}.digest);
+    std::vector<std::uint64_t> digests(workloads.size() * kColumns);
+    std::atomic<std::size_t> next_job{0};
+    const auto worker = [&] {
+        for (std::size_t job; (job = next_job++) < digests.size();) {
+            const std::size_t column = job % kColumns;
+            SampleSimulator simulator(samplers[column / 2]);
+            ProfileCache cache(1024);
+            if (column % 2 == 1)
+                simulator.setProfileCache(&cache);
+            digests[job] = profileDigest(
+                simulator.characterize(workloads[job / kColumns]));
+        }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back(worker);
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const GoldenProfiles &golden = kGoldenProfiles[w];
+        SCOPED_TRACE(golden.name);
+        EXPECT_EQ(workloads[w].name(), golden.name);
+        for (std::size_t column = 0; column < kColumns; ++column) {
+            EXPECT_EQ(hex(digests[w * kColumns + column]),
+                      hex(golden.digest[column]))
+                << "column " << column;
+        }
+    }
+}
+
+/** Digest of the first 4096 records of a (spec, seed) stream. */
+std::uint64_t
+traceDigest(const PhaseSpec &spec, std::uint64_t seed)
+{
+    TraceGenerator gen(spec, seed);
+    HashBuilder hash;
+    for (int i = 0; i < 4096; ++i) {
+        const InstrRecord rec = gen.next();
+        hash.add(static_cast<std::uint64_t>(rec.kind)).add(rec.addr);
+    }
+    return hash.digest();
+}
+
+TEST(TraceGenerator, StreamsMatchTheGolden)
+{
+    PhaseSpec hot;  // all references in a 24 KiB set
+    hot.name = "hot";
+    hot.hotFrac = 1.0;
+    hot.warmFrac = 0.0;
+
+    PhaseSpec warm;  // mostly the L2-sized set, some random cold
+    warm.name = "warm";
+    warm.fpFrac = 0.10;
+    warm.hotFrac = 0.10;
+    warm.warmFrac = 0.85;
+
+    PhaseSpec cold;  // a pure sequential stream that wraps (750 words)
+    cold.name = "cold-seq";
+    cold.hotFrac = 0.0;
+    cold.warmFrac = 0.0;
+    cold.coldSeqFrac = 1.0;
+    cold.coldBytes = 6000;
+
+    PhaseSpec gpu;  // GPU kicks in the mix, random cold references
+    gpu.name = "gpu";
+    gpu.fpFrac = 0.05;
+    gpu.gpuKickFrac = 0.05;
+    gpu.gpuCyclesPerKick = 4000.0;
+    gpu.gpuActivity = 0.7;
+    gpu.hotFrac = 0.7;
+    gpu.warmFrac = 0.2;
+    gpu.coldSeqFrac = 0.0;
+
+    EXPECT_EQ(hex(traceDigest(hot, 11)), hex(0x4c4adb989c6514b3ull));
+    EXPECT_EQ(hex(traceDigest(warm, 12)), hex(0xc355a09dcd48efb1ull));
+    EXPECT_EQ(hex(traceDigest(cold, 13)), hex(0x3f416e343f1d40d6ull));
+    EXPECT_EQ(hex(traceDigest(gpu, 14)), hex(0x6f69e4cf461ec116ull));
+}
+
+TEST(Rng, DrawsMatchTheGolden)
+{
+    HashBuilder next;
+    Rng a(1);
+    for (int i = 0; i < 4096; ++i)
+        next.add(a.next());
+
+    HashBuilder uniform;
+    Rng b(2);
+    for (int i = 0; i < 4096; ++i)
+        uniform.add(std::bit_cast<std::uint64_t>(b.uniform()));
+
+    // Each group ends with a raw draw, which pins how many draws the
+    // group consumed (rejections included).
+    HashBuilder uniform_int;
+    Rng c(3);
+    for (const std::uint64_t bound :
+         {1ull, 2ull, 3ull, 7ull, 1000ull, 3072ull, 1ull << 40,
+          (1ull << 63) + 1, ~0ull}) {
+        for (int i = 0; i < 256; ++i)
+            uniform_int.add(c.uniformInt(bound));
+        uniform_int.add(c.next());
+    }
+
+    HashBuilder chance;
+    Rng d(4);
+    for (const double p : {-1.0, 0.0, 1e-9, 0.3, 0.5, 0.999, 1.0, 2.0}) {
+        for (int i = 0; i < 256; ++i)
+            chance.add(d.chance(p));
+        chance.add(d.next());
+    }
+
+    EXPECT_EQ(hex(next.digest()), hex(0x5c5b6de50a407a62ull));
+    EXPECT_EQ(hex(uniform.digest()), hex(0x4674e43ed19a5570ull));
+    EXPECT_EQ(hex(uniform_int.digest()), hex(0x59c3c218ed52f6edull));
+    EXPECT_EQ(hex(chance.digest()), hex(0xa225769581b6fde8ull));
 }
 
 } // namespace

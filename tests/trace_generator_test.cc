@@ -190,6 +190,19 @@ TEST(TraceGenerator, InvalidSpecThrows)
     PhaseSpec spec = testSpec();
     spec.baseCpi = -1.0;
     EXPECT_THROW((TraceGenerator{spec, 1}), FatalError);
+
+    // A footprint tier needs at least one 8-byte word to draw from.
+    for (std::uint64_t PhaseSpec::*field :
+         {&PhaseSpec::hotBytes, &PhaseSpec::warmBytes,
+          &PhaseSpec::coldBytes}) {
+        spec = testSpec();
+        spec.*field = 7;
+        EXPECT_THROW((TraceGenerator{spec, 1}), FatalError);
+        spec.*field = 8;
+        TraceGenerator one_word(spec, 1);
+        for (int i = 0; i < 1000; ++i)
+            one_word.next();
+    }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "trace/workloads.hh"
@@ -165,6 +166,26 @@ TEST(Workloads, ConstructorValidation)
                                  },
                                  1, /*jitter=*/0.0),
                  FatalError);
+    // A footprint smaller than one 8-byte access leaves no word to draw
+    // (uniformInt(0) would abort the first characterization): the
+    // constructor rejects it, naming the field.
+    for (const auto &[field, member] :
+         {std::pair{"hotBytes", &PhaseSpec::hotBytes},
+          std::pair{"warmBytes", &PhaseSpec::warmBytes},
+          std::pair{"coldBytes", &PhaseSpec::coldBytes}}) {
+        PhaseSpec spec = workloadByName("gobmk").phaseFor(0);
+        spec.*member = 4;
+        try {
+            WorkloadProfile("subword", 2,
+                            [spec](std::size_t) { return spec; }, 1,
+                            /*jitter=*/0.0);
+            ADD_FAILURE() << field << " of 4 bytes was accepted";
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find(field),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 } // namespace
