@@ -5,8 +5,9 @@
 #   1. ASan + UBSan over the full suite — memory errors and UB
 #      anywhere in the library;
 #   2. TSan over the concurrency-heavy subset (exec thread pool and
-#      its work-stealing strips, svc cache/service, the profile
-#      cache's sharded LRU and the dedup grid evaluation, obs metrics
+#      its work-stealing strips, the sharded LRU every cache is built
+#      on, svc cache/service, the profile cache and the dedup grid
+#      evaluation, obs metrics
 #      and trace rings, trace enable/disable toggling, the telemetry
 #      sampler thread and SLO watchdog, the tuning daemon and its
 #      snapshot store, the streaming-resume path, the snapshot
@@ -54,6 +55,7 @@ if [ "$run_tsan" = 1 ]; then
     cmake --build build-tsan -j "$jobs" --target \
         exec_thread_pool_test exec_thread_pool_stress_test \
         exec_thread_pool_drain_test exec_thread_pool_steal_test \
+        exec_sharded_lru_test \
         sim_profile_cache_test sim_profile_dedup_test \
         svc_grid_cache_test svc_grid_cache_property_test \
         svc_service_test sim_parallel_grid_test \
@@ -68,7 +70,7 @@ if [ "$run_tsan" = 1 ]; then
         daemon_snapshot_fuzz_test integration_gpu_test \
         svc_shared_results_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|SharedInputs|SharedResults'
+        -R 'ThreadPool|ShardedLru|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|SharedInputs|SharedResults'
 fi
 
 echo "sanitize: all requested passes clean"

@@ -32,7 +32,7 @@ namespace mcdvfs
 
 /**
  * Resumable state of one (budget, threshold) analysis over a sample
- * prefix.  Cached by svc::AnalysisCache keyed by the grid's chained
+ * prefix.  Cached by svc::CheckpointCache keyed by the grid's chained
  * prefix digest (MeasuredGrid::prefixDigest), so a grown grid finds
  * the checkpoint of its unchanged prefix and only analyzes the tail.
  */

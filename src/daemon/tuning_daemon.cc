@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -81,18 +82,6 @@ nextRequestId()
 {
     static std::atomic<std::uint64_t> next{1};
     return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-/** FNV-1a of a workload class name (the journal/trace class id). */
-std::uint64_t
-classIdOf(const std::string &name)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : name) {
-        h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 } // namespace
@@ -175,7 +164,9 @@ TuningDaemon::submit(const svc::TuningRequest &request)
     // and the journal's request_id, so one fleet request is
     // reconstructible across threads and artifacts.
     const std::uint64_t request_id = nextRequestId();
-    const std::uint64_t class_id = classIdOf(request.workload.name());
+    // The journal/trace class id: FNV-1a of the workload class name.
+    const std::uint64_t class_id =
+        fnv1aString(kFnvOffsetBasis, request.workload.name());
     obs::ScopedTraceContext context(
         obs::TraceContext{request_id, class_id});
     daemonMetrics().submitted.add(1);
@@ -265,24 +256,20 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
 
     // Coalesce by grid identity: every group characterizes its grid
     // once; distinct groups run as independent pool tasks.
-    struct Group
-    {
-        svc::GridKey key;
-        std::shared_ptr<std::vector<Pending>> members;
-    };
-    std::map<std::uint64_t, Group> groups;
+    std::unordered_map<svc::GridKey, std::shared_ptr<std::vector<Pending>>,
+                       exec::DigestHash>
+        groups;
     for (Pending &pending : batch) {
-        const svc::GridKey key = service_.keyFor(
-            pending.request.workload, pending.request.space);
-        Group &group = groups[key.combined()];
-        if (group.members == nullptr) {
-            group.key = key;
-            group.members = std::make_shared<std::vector<Pending>>();
+        std::shared_ptr<std::vector<Pending>> &members =
+            groups[service_.keyFor(pending.request.workload,
+                                   pending.request.space)];
+        if (members == nullptr) {
+            members = std::make_shared<std::vector<Pending>>();
         } else {
             coalesced_.fetch_add(1, std::memory_order_relaxed);
             daemonMetrics().coalesced.add(1);
         }
-        group.members->push_back(std::move(pending));
+        members->push_back(std::move(pending));
     }
 
     std::lock_guard<std::mutex> lock(inflightMutex_);
@@ -294,9 +281,9 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
                                   std::future_status::ready;
                        }),
         inflight_.end());
-    for (auto &[digest, group] : groups) {
+    for (const auto &[key, members] : groups) {
         inflight_.push_back(service_.pool().submit(
-            [this, key = group.key, members = group.members] {
+            [this, key = key, members = members] {
                 runGroup(key, members);
             }));
     }

@@ -57,27 +57,6 @@ gridMetrics()
 }
 
 /**
- * Content hash of a settings space (domain count, then every ladder
- * with its length and step bit patterns): the table-cache key.
- */
-std::uint64_t
-spaceContentHash(const SettingsSpace &space)
-{
-    std::uint64_t h = fnv1aWordBytes(kFnvOffsetBasis,
-                                     space.domainCount());
-    auto addLadder = [&h](const FrequencyLadder &ladder) {
-        h = fnv1aWordBytes(h, ladder.size());
-        for (const Hertz f : ladder.steps())
-            h = fnv1aWordBytes(h, std::bit_cast<std::uint64_t>(f));
-    };
-    addLadder(space.cpuLadder());
-    addLadder(space.memLadder());
-    if (space.hasGpu())
-        addLadder(space.gpuLadder());
-    return h;
-}
-
-/**
  * Hash of the evaluation-relevant SampleProfile fields (everything the
  * kernel reads; phaseName excluded — it never reaches a cell value).
  */
@@ -168,7 +147,7 @@ GridRunner::buildTables(const SettingsSpace &space) const
 std::shared_ptr<const GridRunner::Tables>
 GridRunner::tablesFor(const SettingsSpace &space) const
 {
-    const std::uint64_t key = spaceContentHash(space);
+    const std::uint64_t key = space.fingerprint();
     {
         std::lock_guard<std::mutex> lock(tablesMutex_);
         const auto it = tablesCache_.find(key);

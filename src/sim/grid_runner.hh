@@ -168,7 +168,7 @@ class GridRunner
     exec::ThreadPool *pool_ = nullptr;
     ProfileCache *profileCache_ = nullptr;
 
-    /** @name Table cache, keyed by space content hash. */
+    /** @name Table cache, keyed by SettingsSpace::fingerprint(). */
     ///@{
     mutable std::mutex tablesMutex_;
     mutable std::unordered_map<std::uint64_t,

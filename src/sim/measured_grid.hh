@@ -291,7 +291,7 @@ class MeasuredGrid
      * first N rows are bit-identical to another grid's first N rows
      * yields the same prefixDigest(N) regardless of either grid's
      * total length — this is the key of the incremental analysis
-     * checkpoints (svc::AnalysisCache).  Digests are computed lazily
+     * checkpoints (svc::CheckpointCache).  Digests are computed lazily
      * once per grid, under a lock (grids are shared across daemon
      * batches), and invalidated by mutable cell() access.
      */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded LRU cache of memoized characterizations.
+ * LRU cache of memoized characterizations.
  *
  * Characterizing one sample is the unit cost the paper's methodology
  * already pays only once per sample — but fleet workloads are phase
@@ -18,26 +18,20 @@
  * regardless of what was characterized before it.  SampleSimulator
  * switches to canonical mode whenever a cache is attached.
  *
- * The shard/LRU structure mirrors svc::GridCache: per-shard mutexes,
- * shared_ptr values so eviction never invalidates a profile in use,
- * atomic counters.  The metric prefix is a constructor parameter so
- * the sim-layer cache ("sim.profile.*") and the service-wide cache
- * ("svc.profile.*") stay separately observable.
+ * It is the common sharded LRU (exec/sharded_lru.hh).  The metric
+ * prefix is a constructor parameter so the sim-layer cache
+ * ("sim.profile.*") and the service-wide cache ("svc.profile.*") stay
+ * separately observable.
  */
 
 #ifndef MCDVFS_SIM_PROFILE_CACHE_HH
 #define MCDVFS_SIM_PROFILE_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
-#include "obs/metrics.hh"
+#include "common/hash.hh"
+#include "exec/sharded_lru.hh"
 #include "sim/sample_profile.hh"
 
 namespace mcdvfs
@@ -59,89 +53,28 @@ struct ProfileKey
                config == other.config;
     }
 
-    /** Combined 64-bit digest (shard selection and map hashing). */
-    std::uint64_t combined() const;
+    /** Byte-wise FNV-1a of the four components (shard and hash). */
+    std::uint64_t
+    combined() const
+    {
+        std::uint64_t hash = kFnvOffsetBasis;
+        for (const std::uint64_t part :
+             {phase, seed, instructions, config})
+            hash = fnv1aWordBytes(hash, part);
+        return hash;
+    }
 };
 
-/** Sharded, mutex-guarded LRU cache of canonical SampleProfiles. */
-class ProfileCache
+/** Sharded LRU cache of canonical SampleProfiles. */
+class ProfileCache : public exec::ShardedLru<ProfileKey, SampleProfile>
 {
   public:
-    /** Hit/miss/eviction counters (monotonic over the cache's life). */
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::size_t entries = 0;
-    };
-
-    /**
-     * @param capacity maximum cached profiles across all shards (>= 1)
-     * @param shards number of independently locked shards (>= 1);
-     *        per-shard capacities sum exactly to @c capacity
-     * @param metric_prefix registry prefix for this instance's
-     *        counters (e.g. "sim.profile" -> "sim.profile.hits")
-     * @throws FatalError for a zero capacity or shard count
-     */
+    /** @see exec::ShardedLru::ShardedLru */
     explicit ProfileCache(std::size_t capacity, std::size_t shards = 8,
-                          const std::string &metric_prefix = "sim.profile");
-
-    ~ProfileCache();
-
-    /**
-     * Look up a profile, refreshing its LRU position.  Counts a hit or
-     * a miss; returns nullptr on miss.
-     */
-    std::shared_ptr<const SampleProfile> find(const ProfileKey &key);
-
-    /**
-     * Insert (or refresh) a profile, evicting the shard's least
-     * recently used entry when the shard is full.
-     */
-    void insert(const ProfileKey &key, SampleProfile profile);
-
-    /** Drop every entry (counters are kept). */
-    void clear();
-
-    Stats stats() const;
-    std::size_t capacity() const { return capacity_; }
-    std::size_t shardCount() const { return shards_.size(); }
-
-  private:
-    struct Entry
+                          const std::string &metric_prefix = "sim.profile")
+        : ShardedLru(capacity, shards, metric_prefix)
     {
-        ProfileKey key;
-        std::shared_ptr<const SampleProfile> profile;
-    };
-
-    /** One LRU list + index, guarded by its own mutex. */
-    struct Shard
-    {
-        std::mutex mutex;
-        /** Entries this shard may hold (shard capacities sum to
-         *  the cache capacity). */
-        std::size_t capacity = 1;
-        /** Front = most recently used. */
-        std::list<Entry> lru;
-        std::unordered_map<std::uint64_t, std::list<Entry>::iterator>
-            index;
-    };
-
-    Shard &shardFor(const ProfileKey &key);
-
-    std::size_t capacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-
-    /** Registry handles under this instance's prefix. */
-    obs::Counter metricHits_;
-    obs::Counter metricMisses_;
-    obs::Counter metricEvictions_;
-    obs::Counter metricInserts_;
-    obs::Gauge metricEntries_;
+    }
 };
 
 } // namespace mcdvfs

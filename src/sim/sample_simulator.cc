@@ -173,7 +173,8 @@ SampleSimulator::characterize(const WorkloadProfile &workload)
         ++lastStats_.cacheMisses;
         profiles.push_back(characterizeCanonical(
             spec, seed, config_.simInstructionsPerSample));
-        cache_->insert(key, profiles.back());
+        cache_->insert(
+            key, std::make_shared<const SampleProfile>(profiles.back()));
     }
     return profiles;
 }

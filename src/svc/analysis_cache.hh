@@ -1,6 +1,6 @@
 /**
  * @file
- * Sharded LRU cache of analysis results.
+ * LRU caches of analysis results and resumable analysis checkpoints.
  *
  * A grid served from GridCache still pays the §V/§VI analysis chain on
  * every request — optimal trajectory, clusters, stable regions — which
@@ -11,39 +11,29 @@
  * content fingerprint plus the bit patterns of budget and threshold,
  * so repeated requests skip the analysis chain too.
  *
- * Structure mirrors GridCache: sharded key space with a mutex per
- * shard, shard capacities summing exactly to the configured total, and
- * shared_ptr values so eviction never invalidates a result a caller
- * still holds.  Process-wide counters are exported as
- * svc.analysis.{hits,misses,evictions,inserts} and the
- * svc.analysis.entries gauge.
- *
- * Next to finished results the cache keeps a second, independently
- * sized LRU store of AnalysisCheckpoints — resumable incremental
+ * CheckpointCache holds AnalysisCheckpoints — resumable incremental
  * state keyed by (grid *content prefix* digest, budget, threshold),
  * see MeasuredGrid::prefixDigest.  A streaming workload that grew by a
  * few samples has a different result key (its full fingerprint
  * changed) but shares every prefix digest with its shorter past, so
- * the service can find the longest checkpointed prefix and analyze
- * only the tail.  Checkpoint counters are exported as
- * svc.analysis.checkpoint_{hits,misses,evictions,inserts} and the
- * svc.analysis.checkpoint_entries gauge; one findLongestCheckpoint
- * walk counts a single hit or miss however many prefixes it probes.
+ * the service looks up all prefixes, longest first, in one find() and
+ * analyzes only the tail.
+ *
+ * Both are the common sharded LRU (exec/sharded_lru.hh), counted under
+ * svc.analysis.* and svc.checkpoint.* respectively.
  */
 
 #ifndef MCDVFS_SVC_ANALYSIS_CACHE_HH
 #define MCDVFS_SVC_ANALYSIS_CACHE_HH
 
-#include <atomic>
+#include <bit>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash.hh"
 #include "core/incremental_analysis.hh"
 #include "core/stable_regions.hh"
+#include "exec/sharded_lru.hh"
 
 namespace mcdvfs
 {
@@ -59,10 +49,32 @@ struct AnalysisKey
     double threshold = 0.0;
 
     /** Exact bit-pattern equality on the doubles (cache identity). */
-    bool operator==(const AnalysisKey &other) const;
+    bool
+    operator==(const AnalysisKey &other) const
+    {
+        return grid == other.grid &&
+               std::bit_cast<std::uint64_t>(budget) ==
+                   std::bit_cast<std::uint64_t>(other.budget) &&
+               std::bit_cast<std::uint64_t>(threshold) ==
+                   std::bit_cast<std::uint64_t>(other.threshold);
+    }
 
-    /** Combined 64-bit digest (shard selection and map hashing). */
-    std::uint64_t combined() const;
+    /**
+     * Byte-wise FNV-1a of the grid digest and the raw bit patterns of
+     * budget and threshold (so -0.0 and +0.0 stay distinct, as in
+     * operator==): shard selection and hashing, and the snapshot file
+     * name.
+     */
+    std::uint64_t
+    combined() const
+    {
+        std::uint64_t hash = kFnvOffsetBasis;
+        for (const std::uint64_t part :
+             {grid, std::bit_cast<std::uint64_t>(budget),
+              std::bit_cast<std::uint64_t>(threshold)})
+            hash = fnv1aWordBytes(hash, part);
+        return hash;
+    }
 };
 
 /** One cached analysis: the §V/§VI chain's output for its key. */
@@ -73,129 +85,30 @@ struct AnalysisResult
     std::vector<StableRegion> regions;
 };
 
-/** Sharded, mutex-guarded LRU cache of AnalysisResults. */
-class AnalysisCache
+/** Sharded LRU cache of AnalysisResults (svc.analysis.* metrics). */
+class AnalysisCache : public exec::ShardedLru<AnalysisKey, AnalysisResult>
 {
   public:
-    /** Hit/miss/eviction counters (monotonic over the cache's life). */
-    struct Stats
+    /** @see exec::ShardedLru::ShardedLru */
+    explicit AnalysisCache(std::size_t capacity, std::size_t shards = 8)
+        : ShardedLru(capacity, shards, "svc.analysis")
     {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t evictions = 0;
-        std::size_t entries = 0;
-        /** Checkpoint-store counters (one hit/miss per prefix walk). */
-        std::uint64_t checkpointHits = 0;
-        std::uint64_t checkpointMisses = 0;
-        std::uint64_t checkpointEvictions = 0;
-        std::size_t checkpointEntries = 0;
-    };
+    }
+};
 
-    /**
-     * @param capacity maximum cached analyses across all shards (>= 1)
-     * @param shards number of independently locked shards (>= 1);
-     *        per-shard capacities sum exactly to @c capacity
-     * @param checkpoint_capacity maximum resumable checkpoints across
-     *        all shards; 0 disables the checkpoint store (every walk
-     *        misses, inserts are dropped)
-     * @throws FatalError for a zero capacity or shard count
-     */
-    explicit AnalysisCache(std::size_t capacity, std::size_t shards = 8,
-                           std::size_t checkpoint_capacity = 64);
-
-    ~AnalysisCache();
-
-    /**
-     * Look up an analysis, refreshing its LRU position.  Counts a hit
-     * or a miss; returns nullptr on miss.
-     */
-    std::shared_ptr<const AnalysisResult> find(const AnalysisKey &key);
-
-    /**
-     * Insert (or refresh) an analysis, evicting the shard's least
-     * recently used entry when the shard is full.
-     */
-    void insert(const AnalysisKey &key,
-                std::shared_ptr<const AnalysisResult> result);
-
-    /**
-     * Find the checkpoint of the longest cached prefix.  @c keys must
-     * be ordered longest prefix first (the caller builds them from
-     * MeasuredGrid::prefixDigest, all sharing budget and threshold);
-     * the first key present wins and has its LRU position refreshed.
-     * The whole walk counts one checkpoint hit or one miss, however
-     * many prefixes it probes.  Returns nullptr on miss.
-     */
-    std::shared_ptr<const AnalysisCheckpoint> findLongestCheckpoint(
-        const std::vector<AnalysisKey> &keys);
-
-    /**
-     * Insert (or refresh) a resumable checkpoint under the digest of
-     * the prefix it covers.  Dropped when the store is disabled.
-     */
-    void insertCheckpoint(
-        const AnalysisKey &key,
-        std::shared_ptr<const AnalysisCheckpoint> checkpoint);
-
-    /** Drop every entry, results and checkpoints (counters kept). */
-    void clear();
-
-    Stats stats() const;
-    std::size_t capacity() const { return capacity_; }
-    std::size_t checkpointCapacity() const { return checkpointCapacity_; }
-    std::size_t shardCount() const { return shards_.size(); }
-
-  private:
-    struct Entry
+/**
+ * Sharded LRU store of resumable analysis checkpoints, keyed by the
+ * prefix they cover (svc.checkpoint.* metrics).
+ */
+class CheckpointCache
+    : public exec::ShardedLru<AnalysisKey, AnalysisCheckpoint>
+{
+  public:
+    /** @see exec::ShardedLru::ShardedLru */
+    explicit CheckpointCache(std::size_t capacity, std::size_t shards = 8)
+        : ShardedLru(capacity, shards, "svc.checkpoint")
     {
-        AnalysisKey key;
-        std::shared_ptr<const AnalysisResult> result;
-    };
-
-    /** One LRU list + index, guarded by its own mutex. */
-    struct Shard
-    {
-        std::mutex mutex;
-        /** Entries this shard may hold (shard capacities sum to
-         *  the cache capacity). */
-        std::size_t capacity = 1;
-        /** Front = most recently used. */
-        std::list<Entry> lru;
-        std::unordered_map<std::uint64_t, std::list<Entry>::iterator>
-            index;
-    };
-
-    /** Checkpoint-store sibling of Shard (own LRU + index + lock). */
-    struct CheckpointEntry
-    {
-        AnalysisKey key;
-        std::shared_ptr<const AnalysisCheckpoint> checkpoint;
-    };
-
-    struct CheckpointShard
-    {
-        std::mutex mutex;
-        std::size_t capacity = 1;
-        /** Front = most recently used. */
-        std::list<CheckpointEntry> lru;
-        std::unordered_map<std::uint64_t,
-                           std::list<CheckpointEntry>::iterator>
-            index;
-    };
-
-    Shard &shardFor(const AnalysisKey &key);
-    CheckpointShard &checkpointShardFor(const AnalysisKey &key);
-
-    std::size_t capacity_;
-    std::size_t checkpointCapacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::vector<std::unique_ptr<CheckpointShard>> checkpointShards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> checkpointHits_{0};
-    std::atomic<std::uint64_t> checkpointMisses_{0};
-    std::atomic<std::uint64_t> checkpointEvictions_{0};
+    }
 };
 
 } // namespace svc

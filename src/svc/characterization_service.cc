@@ -51,6 +51,9 @@ serviceMetrics()
     return metrics;
 }
 
+/** Lock granularity of every cache the service owns. */
+constexpr std::size_t kCacheShards = 8;
+
 } // namespace
 
 CharacterizationService::CharacterizationService(const SystemConfig &config,
@@ -59,12 +62,15 @@ CharacterizationService::CharacterizationService(const SystemConfig &config,
       pool_(std::max<std::size_t>(1, options.jobs)),
       profileCache_(options.profileCacheCapacity > 0
                         ? std::make_unique<ProfileCache>(
-                              options.profileCacheCapacity,
-                              options.profileCacheShards, "svc.profile")
+                              options.profileCacheCapacity, kCacheShards,
+                              "svc.profile")
                         : nullptr),
-      runner_(config_), cache_(options.cacheCapacity, options.cacheShards),
-      analysisCache_(options.analysisCapacity, options.analysisShards,
-                     options.checkpointCapacity)
+      runner_(config_), cache_(options.cacheCapacity, kCacheShards),
+      analysisCache_(options.analysisCapacity, kCacheShards),
+      checkpoints_(options.checkpointCapacity > 0
+                       ? std::make_unique<CheckpointCache>(
+                             options.checkpointCapacity, kCacheShards)
+                       : nullptr)
 {
     runner_.setThreadPool(&pool_);
     if (profileCache_ != nullptr) {
@@ -126,8 +132,6 @@ CharacterizationService::gridFor(const GridKey &key,
                                  const SettingsSpace &space,
                                  bool &cache_hit)
 {
-    const std::uint64_t digest = key.combined();
-
     if (auto cached = cache_.find(key)) {
         obs::traceInstant("svc.cache_hit");
         cache_hit = true;
@@ -142,11 +146,11 @@ CharacterizationService::gridFor(const GridKey &key,
     std::shared_future<std::shared_ptr<const MeasuredGrid>> watch;
     {
         std::lock_guard<std::mutex> lock(inflightMutex_);
-        const auto it = inflight_.find(digest);
+        const auto it = inflight_.find(key);
         if (it != inflight_.end()) {
             watch = it->second;
         } else {
-            inflight_.emplace(digest, promise.get_future().share());
+            inflight_.emplace(key, promise.get_future().share());
         }
     }
     if (watch.valid()) {
@@ -168,7 +172,7 @@ CharacterizationService::gridFor(const GridKey &key,
         cache_.insert(key, grid);
         {
             std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(digest);
+            inflight_.erase(key);
         }
         serviceMetrics().inflightBuilds.add(-1);
         promise.set_value(grid);
@@ -177,7 +181,7 @@ CharacterizationService::gridFor(const GridKey &key,
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(digest);
+            inflight_.erase(key);
         }
         serviceMetrics().inflightBuilds.add(-1);
         promise.set_exception(std::current_exception());
@@ -213,18 +217,15 @@ CharacterizationService::analyze(const TuningRequest &request,
             // longest analyzed content prefix of this grid.  A grown
             // workload misses the result cache (its full fingerprint
             // changed) but shares every prefix digest with its past.
-            const bool streaming =
-                analysisCache_.checkpointCapacity() > 0;
             std::vector<AnalysisKey> prefix_keys;
             std::shared_ptr<const AnalysisCheckpoint> resumed;
-            if (streaming) {
+            if (checkpoints_ != nullptr) {
                 prefix_keys.reserve(samples);
                 for (std::size_t len = samples; len >= 1; --len)
                     prefix_keys.push_back(
                         AnalysisKey{grid->prefixDigest(len),
                                     request.budget, request.threshold});
-                resumed =
-                    analysisCache_.findLongestCheckpoint(prefix_keys);
+                resumed = checkpoints_->find(prefix_keys);
             }
 
             if (resumed != nullptr) {
@@ -248,8 +249,7 @@ CharacterizationService::analyze(const TuningRequest &request,
                 fresh->regions = cp->regions.regions(grid->space());
                 result.analysisResumed = true;
                 result.resumedFromSamples = resumed->samples;
-                analysisCache_.insertCheckpoint(prefix_keys.front(),
-                                                std::move(cp));
+                checkpoints_->insert(prefix_keys.front(), std::move(cp));
             } else {
                 // One mask-table pass feeds all three outputs, with
                 // the per-sample kernel fanned over the pool
@@ -265,8 +265,8 @@ CharacterizationService::analyze(const TuningRequest &request,
                 for (std::size_t s = 0; s < table.sampleCount(); ++s)
                     fresh->clusters.push_back(table.materialize(s));
                 fresh->regions = region_finder.fromTable(table);
-                if (streaming)
-                    analysisCache_.insertCheckpoint(
+                if (checkpoints_ != nullptr)
+                    checkpoints_->insert(
                         prefix_keys.front(),
                         std::make_shared<AnalysisCheckpoint>(
                             IncrementalAnalyzer::fromTable(
@@ -332,32 +332,25 @@ CharacterizationService::submitBatch(
 
     // Group requests sharing a grid so each distinct characterization
     // runs exactly once, then fan the groups out across the pool.
-    struct Group
-    {
-        GridKey key;
-        std::vector<std::size_t> members;
-    };
-    std::map<std::uint64_t, Group> groups;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const GridKey key = keyFor(requests[i].workload,
-                                   requests[i].space);
-        Group &group = groups[key.combined()];
-        group.key = key;
-        group.members.push_back(i);
-    }
+    std::unordered_map<GridKey, std::vector<std::size_t>,
+                       exec::DigestHash>
+        groups;
+    for (std::size_t i = 0; i < requests.size(); ++i)
+        groups[keyFor(requests[i].workload, requests[i].space)]
+            .push_back(i);
 
     std::vector<std::future<void>> pending;
     pending.reserve(groups.size());
-    for (const auto &[digest, group] : groups) {
+    for (const auto &group : groups) {
         pending.push_back(pool_.submit([this, &requests, &results,
                                         &group, batch_start] {
+            const GridKey &key = group.first;
+            const std::vector<std::size_t> &members = group.second;
             bool cache_hit = false;
-            const std::vector<std::size_t> &members = group.members;
-            auto grid = gridFor(group.key,
-                                requests[members.front()].workload,
+            auto grid = gridFor(key, requests[members.front()].workload,
                                 requests[members.front()].space,
                                 cache_hit);
-            const std::uint64_t grid_digest = group.key.combined();
+            const std::uint64_t grid_digest = key.combined();
             for (std::size_t j = 0; j < members.size(); ++j) {
                 const std::size_t i = members[j];
                 // Later members of the group reuse the first build.

@@ -22,8 +22,8 @@
  *    (grid fingerprint, budget, threshold), so repeated tuning
  *    requests skip the §V/§VI analysis chain as well;
  *  - streaming workloads resume: when the result cache misses, the
- *    service probes the analysis cache's checkpoint store for the
- *    longest already-analyzed *content prefix* of the grid
+ *    service probes its checkpoint store for the longest
+ *    already-analyzed *content prefix* of the grid
  *    (MeasuredGrid::prefixDigest) and extends it over just the new
  *    samples (core/incremental_analysis.hh), bit-identical to a full
  *    recompute.
@@ -34,9 +34,9 @@
 
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "core/stable_regions.hh"
@@ -168,15 +168,11 @@ struct ServiceOptions
     std::size_t jobs = 1;
     /** Grids kept by the LRU cache. */
     std::size_t cacheCapacity = 32;
-    /** Cache shards (lock granularity). */
-    std::size_t cacheShards = 8;
     /** Analyses kept by the analysis LRU cache. */
     std::size_t analysisCapacity = 64;
-    /** Analysis-cache shards (lock granularity). */
-    std::size_t analysisShards = 8;
     /**
-     * Incremental-analysis checkpoints kept by the analysis cache's
-     * checkpoint store; 0 disables streaming resume entirely.
+     * Incremental-analysis checkpoints kept by the checkpoint store;
+     * 0 disables streaming resume entirely.
      */
     std::size_t checkpointCapacity = 64;
     /**
@@ -192,8 +188,6 @@ struct ServiceOptions
      * cache or the snapshot store.
      */
     std::size_t profileCacheCapacity = 0;
-    /** Profile-cache shards (lock granularity). */
-    std::size_t profileCacheShards = 8;
 };
 
 /** Thread-pooled, grid-cached tuning service. */
@@ -274,6 +268,16 @@ class CharacterizationService
         return analysisCache_.stats();
     }
 
+    /**
+     * Checkpoint-store traffic, one hit or miss per prefix walk (all
+     * zeros when streaming resume is disabled).
+     */
+    CheckpointCache::Stats checkpointStats() const
+    {
+        return checkpoints_ ? checkpoints_->stats()
+                            : CheckpointCache::Stats{};
+    }
+
     /** True when characterization memoization is on. */
     bool profileCacheEnabled() const { return profileCache_ != nullptr; }
 
@@ -314,11 +318,17 @@ class CharacterizationService
     GridRunner runner_;
     GridCache cache_;
     AnalysisCache analysisCache_;
+    /**
+     * Resumable analysis checkpoints (created only when
+     * checkpointCapacity > 0).
+     */
+    std::unique_ptr<CheckpointCache> checkpoints_;
 
     /** Builds of grids currently characterizing, for coalescing. */
     std::mutex inflightMutex_;
-    std::map<std::uint64_t,
-             std::shared_future<std::shared_ptr<const MeasuredGrid>>>
+    std::unordered_map<
+        GridKey, std::shared_future<std::shared_ptr<const MeasuredGrid>>,
+        exec::DigestHash>
         inflight_;
 };
 

@@ -3,7 +3,7 @@
  * Incremental (streaming) analysis tests: AnalysisCheckpoint extension
  * must be bit-identical to a full recompute at every split point, the
  * grid prefix digests that key the checkpoints must be prefix-stable
- * and mutation-sensitive, the AnalysisCache checkpoint store must obey
+ * and mutation-sensitive, the checkpoint store (CheckpointCache) must obey
  * its LRU/disable semantics, and the CharacterizationService must
  * resume a grown workload from its longest cached prefix with exactly
  * the results of a from-scratch service.
@@ -180,7 +180,7 @@ TEST(GridPrefixDigest, MutationInvalidatesTheDigest)
 
 TEST(AnalysisCacheCheckpoints, LongestPrefixWinsAndCountsOnce)
 {
-    svc::AnalysisCache cache(4, 2, 4);
+    svc::CheckpointCache cache(4, 2);
     const auto make = [](std::size_t samples) {
         auto cp = std::make_shared<AnalysisCheckpoint>();
         cp->samples = samples;
@@ -189,58 +189,66 @@ TEST(AnalysisCacheCheckpoints, LongestPrefixWinsAndCountsOnce)
     const svc::AnalysisKey short_key{0x1111, 1.3, 0.03};
     const svc::AnalysisKey long_key{0x2222, 1.3, 0.03};
     const svc::AnalysisKey absent_key{0x3333, 1.3, 0.03};
-    cache.insertCheckpoint(short_key, make(3));
-    cache.insertCheckpoint(long_key, make(5));
+    cache.insert(short_key, make(3));
+    cache.insert(long_key, make(5));
 
     // Longest-first walk: the first present key wins even when later
     // keys are present too, and the walk counts exactly one hit.
-    const auto hit = cache.findLongestCheckpoint(
-        {absent_key, long_key, short_key});
+    const auto hit = cache.find(
+        std::vector<svc::AnalysisKey>{absent_key, long_key, short_key});
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->samples, 5u);
-    svc::AnalysisCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.checkpointHits, 1u);
-    EXPECT_EQ(stats.checkpointMisses, 0u);
-    EXPECT_EQ(stats.checkpointEntries, 2u);
+    svc::CheckpointCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.entries, 2u);
 
     // A walk probing only absent prefixes counts exactly one miss.
-    EXPECT_EQ(cache.findLongestCheckpoint({absent_key}), nullptr);
+    EXPECT_EQ(cache.find(absent_key), nullptr);
     stats = cache.stats();
-    EXPECT_EQ(stats.checkpointHits, 1u);
-    EXPECT_EQ(stats.checkpointMisses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST(AnalysisCacheCheckpoints, EvictsLeastRecentlyUsed)
 {
     // One shard of capacity 1: the second insert evicts the first.
-    svc::AnalysisCache cache(1, 1, 1);
+    svc::CheckpointCache cache(1, 1);
     const svc::AnalysisKey first{0xaaaa, 1.3, 0.03};
     const svc::AnalysisKey second{0xbbbb, 1.3, 0.03};
-    cache.insertCheckpoint(first,
-                           std::make_shared<AnalysisCheckpoint>());
-    cache.insertCheckpoint(second,
-                           std::make_shared<AnalysisCheckpoint>());
-    const svc::AnalysisCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.checkpointEvictions, 1u);
-    EXPECT_EQ(stats.checkpointEntries, 1u);
-    EXPECT_EQ(cache.findLongestCheckpoint({first}), nullptr);
-    EXPECT_NE(cache.findLongestCheckpoint({second}), nullptr);
+    cache.insert(first, std::make_shared<AnalysisCheckpoint>());
+    cache.insert(second, std::make_shared<AnalysisCheckpoint>());
+    const svc::CheckpointCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.evictions, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(cache.find(first), nullptr);
+    EXPECT_NE(cache.find(second), nullptr);
 }
 
 TEST(AnalysisCacheCheckpoints, ZeroCapacityDisablesTheStore)
 {
-    svc::AnalysisCache cache(4, 2, 0);
-    EXPECT_EQ(cache.checkpointCapacity(), 0u);
-    const svc::AnalysisKey key{0x1234, 1.3, 0.03};
-    cache.insertCheckpoint(key,
-                           std::make_shared<AnalysisCheckpoint>());
-    EXPECT_EQ(cache.findLongestCheckpoint({key}), nullptr);
-    const svc::AnalysisCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.checkpointEntries, 0u);
-    EXPECT_EQ(stats.checkpointMisses, 1u);
-    // The result half is unaffected by a disabled checkpoint store.
-    cache.insert(key, std::make_shared<svc::AnalysisResult>());
-    EXPECT_NE(cache.find(key), nullptr);
+    svc::ServiceOptions options;
+    options.checkpointCapacity = 0;
+    svc::CharacterizationService service(test::fastSystemConfig(),
+                                         options);
+    svc::TuningRequest request{grownSteady(8), SettingsSpace::coarse(),
+                               1.3, 0.03};
+    EXPECT_FALSE(service.submit(request).analysisResumed);
+
+    // The workload grows, but there is no checkpoint to resume from.
+    request.workload = grownSteady(12);
+    const svc::TuningResult grown = service.submit(request);
+    EXPECT_FALSE(grown.analysisResumed);
+    EXPECT_EQ(grown.resumedFromSamples, 0u);
+    const svc::CheckpointCache::Stats stats = service.checkpointStats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+
+    // Results are still cached without a checkpoint store.
+    EXPECT_TRUE(service.submit(request).analysisCacheHit);
+    EXPECT_EQ(service.analysisStats().hits, 1u);
 }
 
 void
@@ -286,7 +294,7 @@ TEST(ServiceStreaming, GrownWorkloadResumesFromCachedPrefix)
     EXPECT_TRUE(grown.analysisResumed);
     EXPECT_EQ(grown.resumedFromSamples, 8u);
     EXPECT_FALSE(grown.analysisCacheHit);
-    EXPECT_GE(service.analysisStats().checkpointHits, 1u);
+    EXPECT_GE(service.checkpointStats().hits, 1u);
 
     // The resumed chain must be bit-identical to the from-scratch one.
     const svc::TuningResult oracle = control.submit(request);

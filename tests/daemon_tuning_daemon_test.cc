@@ -3,7 +3,8 @@
  * TuningDaemon tests: pipeline results match the direct service path
  * bit-for-bit, admission control sheds (queue-full and draining),
  * drain completes every admitted request, a warm restart answers
- * from the snapshot store, and an invalid request fails alone.
+ * from the snapshot store, an invalid request fails alone, and the
+ * journal's class id is the FNV-1a of the workload name.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/hash.hh"
 #include "daemon/tuning_daemon.hh"
 
 namespace mcdvfs
@@ -282,6 +284,19 @@ TEST(TuningDaemon, InvalidRequestFailsAloneInItsBatch)
     const DaemonResponse after = daemon.submit(tinyRequest("other")).get();
     ASSERT_TRUE(after.ok());
     EXPECT_FALSE(after.result.regions.empty());
+}
+
+TEST(TuningDaemon, JournalClassIdIsTheFnv1aOfTheWorkload)
+{
+    obs::DecisionJournal journal;
+    TuningDaemon daemon(fastConfig());
+    daemon.setJournal(&journal);
+    ASSERT_TRUE(daemon.submit(tinyRequest("gobmk")).get().ok());
+    daemon.drain();
+    ASSERT_EQ(journal.requestRecords().size(), 1u);
+    const obs::RequestRecord &record = journal.requestRecords().front();
+    EXPECT_EQ(record.workload, "gobmk");
+    EXPECT_EQ(record.classId, fnv1aString(kFnvOffsetBasis, "gobmk"));
 }
 
 TEST(TuningDaemon, RejectsZeroSizing)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/profile_cache.hh"
@@ -45,11 +46,11 @@ memPhase()
     return spec;
 }
 
-SampleProfile
+std::shared_ptr<const SampleProfile>
 profileStub(double base_cpi)
 {
-    SampleProfile profile;
-    profile.baseCpi = base_cpi;
+    auto profile = std::make_shared<SampleProfile>();
+    profile->baseCpi = base_cpi;
     return profile;
 }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "svc/analysis_cache.hh"
@@ -31,6 +33,31 @@ svc::AnalysisKey
 keyOf(std::uint64_t grid, double budget = 1.3, double threshold = 0.03)
 {
     return svc::AnalysisKey{grid, budget, threshold};
+}
+
+TEST(AnalysisCache, KeyDigestsMatchTheGolden)
+{
+    // AnalysisKey::combined() names snapshot files, so its bits must
+    // never move.  Constants from the historical hand-rolled FNV loop;
+    // doubles hash by raw bit pattern, so -0.0 differs from +0.0.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct
+    {
+        svc::AnalysisKey key;
+        std::uint64_t combined;
+    } golden[] = {
+        {{0, 0.0, 0.0}, 0x81d23fd7003c2305ull},
+        {{0x0123456789abcdefull, 1.3, 0.03}, 0xf7065cf5d259f279ull},
+        {{0x0123456789abcdefull, 1.3, -0.0}, 0xc84ae39d47a59785ull},
+        {{0x0123456789abcdefull, -0.0, 0.03}, 0xdf036bb16471b989ull},
+        {{~0ull, 2.0, 0.0}, 0xbcff81ce5509d43dull},
+        {{0xfeedfacecafebeefull, inf, nan}, 0xa82ad90c934cece3ull},
+        {{42, 1.1, 0.01}, 0xe8f2f4b3e36cba0cull},
+    };
+    for (const auto &entry : golden)
+        EXPECT_EQ(entry.key.combined(), entry.combined)
+            << "grid " << entry.key.grid;
 }
 
 TEST(AnalysisCache, MissThenHit)

@@ -139,7 +139,6 @@ TEST(SharedResults, HeldResultOutlivesEviction)
 {
     svc::ServiceOptions options;
     options.analysisCapacity = 1;
-    options.analysisShards = 1;
     options.checkpointCapacity = 0;
     svc::CharacterizationService service(test::fastSystemConfig(),
                                          options);

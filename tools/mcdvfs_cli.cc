@@ -536,11 +536,13 @@ cmdTune(const ArgParser &args)
               << " evictions\n";
     const svc::AnalysisCache::Stats analysis_stats =
         service.analysisStats();
+    const svc::CheckpointCache::Stats checkpoint_stats =
+        service.checkpointStats();
     std::cout << "analysis cache: " << analysis_stats.hits << " hits, "
               << analysis_stats.misses << " misses, "
               << analysis_stats.evictions << " evictions; checkpoints: "
-              << analysis_stats.checkpointHits << " hits, "
-              << analysis_stats.checkpointMisses << " misses\n";
+              << checkpoint_stats.hits << " hits, "
+              << checkpoint_stats.misses << " misses\n";
     if (service.profileCacheEnabled()) {
         const ProfileCache::Stats profile_stats =
             service.profileStats();
