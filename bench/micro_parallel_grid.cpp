@@ -3,8 +3,10 @@
  * Micro-benchmarks of the concurrent characterization service: serial
  * vs parallel grid construction throughput (the dominant cost of every
  * figure), the latency of a cache-hit tuning request vs a cold one,
- * and the set-up cost of building the workload profile a request
- * carries.
+ * the set-up cost of building the workload profile a request carries,
+ * and the snapshot store's warm load and grid write
+ * (--benchmark_filter=Store; the binary exits 1 if any of their loads
+ * or writes fails).
  *
  * The parallel build fans the per-setting model evaluation over a
  * thread pool (bit-identical results; see sim/grid_runner.hh), so the
@@ -14,7 +16,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
 #include "bench_json.hh"
+#include "common/rng.hh"
+#include "daemon/snapshot_store.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "svc/characterization_service.hh"
@@ -139,6 +145,118 @@ BM_ServiceGridCacheHit(benchmark::State &state)
 }
 BENCHMARK(BM_ServiceGridCacheHit)->Unit(benchmark::kMicrosecond);
 
+/** Set when a store benchmark saw a failed load or write. */
+bool storeFailed = false;
+
+/**
+ * A fine()-space grid of @c samples with profiles and arbitrary cell
+ * values: a snapshot's size and layout without characterizing anything.
+ */
+MeasuredGrid
+syntheticGrid(std::size_t samples, std::uint64_t seed)
+{
+    MeasuredGrid grid("store-" + std::to_string(seed),
+                      SettingsSpace::fine(), samples, 100'000);
+    Rng rng(seed);
+    std::vector<SampleProfile> profiles(samples);
+    for (std::size_t s = 0; s < samples; ++s) {
+        MeasuredGrid::RowView row = grid.fillRow(s);
+        for (std::size_t k = 0; k < grid.settingCount(); ++k) {
+            row.seconds[k] = 1e-3 * (1.0 + rng.uniform());
+            row.cpuEnergy[k] = rng.uniform();
+            row.memEnergy[k] = rng.uniform();
+            row.busyFrac[k] = rng.uniform();
+            row.bwUtil[k] = rng.uniform();
+        }
+        grid.updateSampleAggregates(s);
+        profiles[s].phaseName = "phase-" + std::to_string(s % 4);
+        profiles[s].baseCpi = 1.0 + rng.uniform();
+    }
+    grid.sealAggregates();
+    grid.setProfiles(std::move(profiles));
+    return grid;
+}
+
+svc::GridKey
+storeKey(std::uint64_t workload)
+{
+    svc::GridKey key;
+    key.workload = workload;
+    key.space = 1;
+    key.config = 2;
+    return key;
+}
+
+std::uint64_t
+directoryBytes(const std::string &dir)
+{
+    std::uint64_t bytes = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        bytes += entry.file_size();
+    return bytes;
+}
+
+void
+BM_StoreWarmLoad(benchmark::State &state)
+{
+    // Twelve fine() grids of 50-200 samples with profiles: the shape of
+    // perfbench's primed store, which a restarting daemon loads before
+    // it serves.
+    const std::string dir = "micro_store_warm_load";
+    std::filesystem::remove_all(dir);
+    {
+        daemon::SnapshotStore store(dir);
+        for (std::uint64_t i = 0; i < 12; ++i)
+            storeFailed |= !store.storeGrid(
+                storeKey(i), syntheticGrid(50 + i * 150 / 11, i));
+    }
+    daemon::SnapshotStore store(dir);
+    for (auto _ : state) {
+        const auto grids = store.loadAllGrids();
+        benchmark::DoNotOptimize(grids.data());
+        if (grids.size() != 12) {
+            storeFailed = true;
+            state.SkipWithError("a stored grid failed to load");
+            break;
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(directoryBytes(dir)));
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreWarmLoad)->Unit(benchmark::kMillisecond);
+
+void
+BM_StoreGrid(benchmark::State &state)
+{
+    // One 32-sample fine() grid: the write each cold_build decision
+    // makes, to a new file each time (the file is removed untimed, so
+    // no write replaces an earlier one).
+    const std::string dir = "micro_store_grid";
+    std::filesystem::remove_all(dir);
+    daemon::SnapshotStore store(dir);
+    const MeasuredGrid grid = syntheticGrid(32, 7);
+    std::uint64_t bytes = 0;
+    for (auto _ : state) {
+        const bool stored = store.storeGrid(storeKey(7), grid);
+        benchmark::DoNotOptimize(stored);
+        state.PauseTiming();
+        bytes = directoryBytes(dir);
+        for (const auto &entry : std::filesystem::directory_iterator(dir))
+            std::filesystem::remove(entry.path());
+        state.ResumeTiming();
+        if (!stored) {
+            storeFailed = true;
+            state.SkipWithError("the grid write failed");
+            break;
+        }
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes));
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreGrid)->Unit(benchmark::kMicrosecond);
+
 /**
  * Console reporter that also captures every run so main() can emit the
  * machine-readable BENCH_grid.json after the benchmarks finish.
@@ -211,5 +329,5 @@ main(int argc, char **argv)
     }
 
     benchmark::Shutdown();
-    return 0;
+    return storeFailed ? 1 : 0;
 }

@@ -1,11 +1,14 @@
 #include "daemon/snapshot_store.hh"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
-#include "common/binio.hh"
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -29,6 +32,7 @@ struct StoreMetrics
     obs::Counter analysisStores;
     obs::Counter analysisLoads;
     obs::Counter loadErrors;
+    obs::Counter storeErrors;
     obs::Histogram storeNs;
     obs::Histogram loadNs;
 
@@ -41,6 +45,7 @@ struct StoreMetrics
         analysisStores = reg.counter("daemon.snapshot.analysis_stores");
         analysisLoads = reg.counter("daemon.snapshot.analysis_loads");
         loadErrors = reg.counter("daemon.snapshot.load_errors");
+        storeErrors = reg.counter("daemon.snapshot.store_errors");
         storeNs = reg.histogram("daemon.snapshot.store_ns", latency);
         loadNs = reg.histogram("daemon.snapshot.load_ns", latency);
     }
@@ -76,7 +81,7 @@ gridKeyBytes(const svc::GridKey &key)
 }
 
 svc::GridKey
-parseGridKey(const std::string &bytes)
+parseGridKey(std::string_view bytes)
 {
     ByteReader r(bytes, "grid snapshot key");
     svc::GridKey key;
@@ -98,7 +103,7 @@ analysisKeyBytes(const svc::AnalysisKey &key)
 }
 
 svc::AnalysisKey
-parseAnalysisKey(const std::string &bytes)
+parseAnalysisKey(std::string_view bytes)
 {
     ByteReader r(bytes, "analysis snapshot key");
     svc::AnalysisKey key;
@@ -142,10 +147,31 @@ checkedCount(std::uint32_t count, const char *what)
     return count;
 }
 
-std::string
-analysisPayload(const svc::AnalysisResult &result)
+/** A u32 count, then that many u64 setting indices. */
+void
+writeIndices(ByteWriter &w, const std::vector<std::size_t> &indices)
 {
-    ByteWriter w;
+    w.u32(static_cast<std::uint32_t>(indices.size()));
+    char *words = w.extend(indices.size() * 8);
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        storeLittleEndian<std::uint64_t>(words + 8 * i, indices[i]);
+}
+
+/** The inverse of writeIndices: one bounds check for the run. */
+std::vector<std::size_t>
+readIndices(ByteReader &r, const char *what)
+{
+    const std::uint32_t count = checkedCount(r.u32(), what);
+    const char *words = r.bytes(std::size_t{count} * 8, what).data();
+    std::vector<std::size_t> indices(count);
+    for (std::uint32_t i = 0; i < count; ++i)
+        indices[i] = loadLittleEndian<std::uint64_t>(words + 8 * i);
+    return indices;
+}
+
+void
+writeAnalysisPayload(ByteWriter &w, const svc::AnalysisResult &result)
+{
     w.u32(static_cast<std::uint32_t>(result.optimal.size()));
     for (const OptimalChoice &choice : result.optimal)
         writeChoice(w, choice);
@@ -153,29 +179,23 @@ analysisPayload(const svc::AnalysisResult &result)
     w.u32(static_cast<std::uint32_t>(result.clusters.size()));
     for (const PerformanceCluster &cluster : result.clusters) {
         writeChoice(w, cluster.optimal);
-        w.u32(static_cast<std::uint32_t>(cluster.settings.size()));
-        for (const std::size_t setting : cluster.settings)
-            w.u64(setting);
+        writeIndices(w, cluster.settings);
     }
 
     w.u32(static_cast<std::uint32_t>(result.regions.size()));
     for (const StableRegion &region : result.regions) {
         w.u64(region.first);
         w.u64(region.last);
-        w.u32(static_cast<std::uint32_t>(
-            region.availableSettings.size()));
-        for (const std::size_t setting : region.availableSettings)
-            w.u64(setting);
+        writeIndices(w, region.availableSettings);
         w.u64(region.chosenSettingIndex);
         w.f64(region.chosenSetting.cpu);
         w.f64(region.chosenSetting.mem);
         w.f64(region.chosenSetting.gpu);
     }
-    return w.take();
 }
 
 svc::AnalysisResult
-parseAnalysisPayload(const std::string &payload)
+parseAnalysisPayload(std::string_view payload)
 {
     ByteReader r(payload, "analysis snapshot");
     svc::AnalysisResult result;
@@ -190,11 +210,7 @@ parseAnalysisPayload(const std::string &payload)
     for (std::uint32_t i = 0; i < clusters; ++i) {
         PerformanceCluster cluster;
         cluster.optimal = readChoice(r);
-        const std::uint32_t members =
-            checkedCount(r.u32(), "cluster member");
-        cluster.settings.reserve(members);
-        for (std::uint32_t j = 0; j < members; ++j)
-            cluster.settings.push_back(r.u64());
+        cluster.settings = readIndices(r, "cluster member");
         result.clusters.push_back(std::move(cluster));
     }
 
@@ -204,11 +220,7 @@ parseAnalysisPayload(const std::string &payload)
         StableRegion region;
         region.first = r.u64();
         region.last = r.u64();
-        const std::uint32_t avail =
-            checkedCount(r.u32(), "region setting");
-        region.availableSettings.reserve(avail);
-        for (std::uint32_t j = 0; j < avail; ++j)
-            region.availableSettings.push_back(r.u64());
+        region.availableSettings = readIndices(r, "region setting");
         region.chosenSettingIndex = r.u64();
         region.chosenSetting.cpu = r.f64();
         region.chosenSetting.mem = r.f64();
@@ -217,6 +229,96 @@ parseAnalysisPayload(const std::string &payload)
     }
     r.expectEnd();
     return result;
+}
+
+/** A grid payload: the body format word, then the grid_io body. */
+MeasuredGrid
+parseGridPayload(std::string_view payload)
+{
+    ByteReader r(payload, "grid snapshot");
+    const std::uint32_t format = r.u32();
+    return readGridBody(r, format);
+}
+
+/** A file descriptor closed when it goes out of scope. */
+class FileDescriptor
+{
+  public:
+    explicit FileDescriptor(int fd) : fd_(fd) {}
+    ~FileDescriptor()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    FileDescriptor(const FileDescriptor &) = delete;
+    FileDescriptor &operator=(const FileDescriptor &) = delete;
+
+    int get() const { return fd_; }
+
+    /** Close now, reporting a failed close (a lost write) as fatal(). */
+    void
+    close()
+    {
+        const int fd = fd_;
+        fd_ = -1;
+        if (::close(fd) != 0)
+            fatal("close failed: ", std::strerror(errno));
+    }
+
+  private:
+    int fd_;
+};
+
+/** Write all of @c bytes to a new file at @c path. */
+void
+writeWholeFile(const std::string &path, std::string_view bytes)
+{
+    FileDescriptor file(
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+    if (file.get() < 0)
+        fatal("cannot open '", path, "' for writing: ",
+              std::strerror(errno));
+    while (!bytes.empty()) {
+        const ssize_t written =
+            ::write(file.get(), bytes.data(), bytes.size());
+        if (written < 0 && errno == EINTR)
+            continue;
+        if (written <= 0)
+            fatal("write failed for '", path, "': ", std::strerror(errno));
+        bytes.remove_prefix(static_cast<std::size_t>(written));
+    }
+    file.close();
+}
+
+/** Read all @c size bytes of an open file into @c buffer. */
+void
+readWholeFile(int fd, char *buffer, std::size_t size)
+{
+    while (size > 0) {
+        const ssize_t got = ::read(fd, buffer, size);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0)
+            fatal("read failed: ", std::strerror(errno));
+        if (got == 0)
+            fatal("file shrank while being read");
+        buffer += got;
+        size -= static_cast<std::size_t>(got);
+    }
+}
+
+/** Paths of the directory's snapshot files whose names start @c prefix. */
+std::vector<std::string>
+snapshotPaths(const std::string &directory, std::string_view prefix)
+{
+    std::vector<std::string> paths;
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(directory)) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with(prefix) && name.ends_with(".snap"))
+            paths.push_back(entry.path().string());
+    }
+    return paths;
 }
 
 } // namespace
@@ -247,207 +349,187 @@ SnapshotStore::analysisPath(const svc::AnalysisKey &key) const
            ".snap";
 }
 
-void
+bool
 SnapshotStore::writeSnapshot(const std::string &path, Kind kind,
                              const std::string &keyBytes,
-                             const std::string &payload)
+                             const PayloadWriter &payload)
 {
     obs::ScopedTimer store_timer(storeMetrics().storeNs);
-    ByteWriter header;
-    for (const char c : kMagic)
-        header.u8(static_cast<std::uint8_t>(c));
-    header.u32(kVersion);
-    header.u32(static_cast<std::uint32_t>(kind));
-    header.str(keyBytes);
-    header.u64(payload.size());
-    // The checksum covers the key bytes too: a flipped bit in the key
-    // region must read as corruption, not as a different snapshot.
-    header.u64(
-        fnv1aString(fnv1aString(kFnvOffsetBasis, keyBytes), payload));
-
     // Unique temp name per writer, atomically renamed into place:
     // a crash mid-write leaves the old snapshot (or none), never a
     // torn file under the final name.
     const std::string temp =
         path + ".tmp" +
         std::to_string(tempSeq_.fetch_add(1, std::memory_order_relaxed));
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("snapshot store: cannot open '", temp,
-                  "' for writing");
-        out.write(header.bytes().data(),
-                  static_cast<std::streamsize>(header.bytes().size()));
-        out.write(payload.data(),
-                  static_cast<std::streamsize>(payload.size()));
-        if (!out)
-            fatal("snapshot store: write failed for '", temp, "'");
-    }
-    std::error_code ec;
-    fs::rename(temp, path, ec);
-    if (ec) {
+    try {
+        ByteWriter file;
+        for (const char c : kMagic)
+            file.u8(static_cast<std::uint8_t>(c));
+        file.u32(kVersion);
+        file.u32(static_cast<std::uint32_t>(kind));
+        file.str(keyBytes);
+        const std::size_t size_at = file.size();
+        file.u64(0);  // payload size and checksum, filled in below
+        file.u64(0);
+        payload(file);
+        const std::string_view body =
+            std::string_view(file.bytes()).substr(size_at + 16);
+        // The checksum covers the key bytes too: a flipped bit in the
+        // key region must read as corruption, not as a different
+        // snapshot.
+        const std::uint64_t checksum =
+            checksum64(body, checksum64(keyBytes));
+        file.patchU64(size_at, body.size());
+        file.patchU64(size_at + 8, checksum);
+
+        writeWholeFile(temp, file.bytes());
+        std::error_code ec;
+        fs::rename(temp, path, ec);
+        if (ec)
+            fatal("cannot rename '", temp, "' into place: ", ec.message());
+    } catch (const FatalError &err) {
+        std::error_code ec;
         fs::remove(temp, ec);
-        fatal("snapshot store: cannot rename '", temp, "' to '", path,
-              "'");
+        storeErrors_.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().storeErrors.add(1);
+        warn("snapshot store: cannot store '", path, "': ", err.what());
+        return false;
     }
+    if (kind == Kind::Grid) {
+        gridStores_.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().gridStores.add(1);
+    } else {
+        analysisStores_.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().analysisStores.add(1);
+    }
+    return true;
 }
 
 bool
 SnapshotStore::readSnapshot(const std::string &path, Kind kind,
-                            std::string &keyBytes, std::string &payload)
+                            const SnapshotParser &parse)
 {
-    std::error_code ec;
-    if (!fs::exists(path, ec) || ec)
+    FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (file.get() < 0 && errno == ENOENT)
         return false;
 
     obs::ScopedTimer load_timer(storeMetrics().loadNs);
     try {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            fatal("snapshot store: cannot open '", path, "'");
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        const std::string bytes = buffer.str();
-        if (bytes.size() > kMaxSnapshotBytes)
-            fatal("snapshot store: implausible file size ",
-                  bytes.size());
+        if (file.get() < 0)
+            fatal("cannot open: ", std::strerror(errno));
+        struct stat info = {};
+        if (::fstat(file.get(), &info) != 0)
+            fatal("cannot stat: ", std::strerror(errno));
+        const auto size = static_cast<std::uint64_t>(info.st_size);
+        if (size > kMaxSnapshotBytes)
+            fatal("implausible file size ", size);
+        const auto bytes = std::make_unique_for_overwrite<char[]>(size);
+        readWholeFile(file.get(), bytes.get(), size);
 
-        ByteReader r(bytes, "snapshot container");
-        for (const char expected : kMagic) {
-            if (static_cast<char>(r.u8()) != expected)
-                fatal("snapshot container: bad magic in '", path, "'");
-        }
+        ByteReader r(std::string_view(bytes.get(), size),
+                     "snapshot container");
+        if (r.bytes(sizeof(kMagic), "magic") !=
+            std::string_view(kMagic, sizeof(kMagic)))
+            fatal("snapshot container: bad magic");
         const std::uint32_t version = r.u32();
         if (version != kVersion)
             fatal("snapshot container: unsupported version ", version,
-                  " in '", path, "' (expected ", kVersion, ")");
+                  " (expected ", kVersion, ")");
         const std::uint32_t file_kind = r.u32();
         if (file_kind != static_cast<std::uint32_t>(kind))
-            fatal("snapshot container: kind ", file_kind, " in '", path,
-                  "' does not match the expected kind ",
+            fatal("snapshot container: kind ", file_kind,
+                  " does not match the expected kind ",
                   static_cast<std::uint32_t>(kind));
-        keyBytes = r.str();
+        const std::string_view key = r.bytes(r.u32(), "key");
         const std::uint64_t payload_size = r.u64();
         const std::uint64_t checksum = r.u64();
         if (payload_size != r.remaining())
-            fatal("snapshot container: truncated payload in '", path,
-                  "' (header claims ", payload_size, " bytes, file has ",
-                  r.remaining(), ")");
-        payload = bytes.substr(bytes.size() - payload_size);
-        if (fnv1aString(fnv1aString(kFnvOffsetBasis, keyBytes),
-                        payload) != checksum) {
-            fatal("snapshot container: checksum mismatch in '", path,
-                  "' (corrupt snapshot)");
-        }
-        return true;
+            fatal("snapshot container: truncated payload (header claims ",
+                  payload_size, " bytes, file has ", r.remaining(), ")");
+        const std::string_view payload = r.bytes(payload_size, "payload");
+        if (checksum64(payload, checksum64(key)) != checksum)
+            fatal("snapshot container: checksum mismatch (corrupt "
+                  "snapshot)");
+        parse(key, payload);
     } catch (const FatalError &err) {
         loadErrors_.fetch_add(1, std::memory_order_relaxed);
         storeMetrics().loadErrors.add(1);
         warn("snapshot store: rejecting '", path, "': ", err.what());
         return false;
     }
+    if (kind == Kind::Grid) {
+        gridLoads_.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().gridLoads.add(1);
+    } else {
+        analysisLoads_.fetch_add(1, std::memory_order_relaxed);
+        storeMetrics().analysisLoads.add(1);
+    }
+    return true;
 }
 
-void
+bool
 SnapshotStore::storeGrid(const svc::GridKey &key, const MeasuredGrid &grid)
 {
-    writeSnapshot(gridPath(key), Kind::Grid, gridKeyBytes(key),
-                  saveGridBinaryToString(grid));
-    gridStores_.fetch_add(1, std::memory_order_relaxed);
-    storeMetrics().gridStores.add(1);
+    return writeSnapshot(gridPath(key), Kind::Grid, gridKeyBytes(key),
+                         [&grid](ByteWriter &w) {
+                             w.u32(gridBodyFormat(grid));
+                             writeGridBody(w, grid);
+                         });
 }
 
 std::shared_ptr<const MeasuredGrid>
 SnapshotStore::loadGrid(const svc::GridKey &key)
 {
-    std::string key_bytes;
-    std::string payload;
-    if (!readSnapshot(gridPath(key), Kind::Grid, key_bytes, payload))
-        return nullptr;
-    try {
-        if (!(parseGridKey(key_bytes) == key))
-            fatal("stored key does not match the requested key");
-        auto grid = std::make_shared<const MeasuredGrid>(
-            loadGridBinaryFromString(payload));
-        gridLoads_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().gridLoads.add(1);
-        return grid;
-    } catch (const FatalError &err) {
-        loadErrors_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().loadErrors.add(1);
-        warn("snapshot store: rejecting '", gridPath(key), "': ",
-             err.what());
-        return nullptr;
-    }
+    std::shared_ptr<const MeasuredGrid> grid;
+    readSnapshot(gridPath(key), Kind::Grid,
+                 [&](std::string_view key_bytes, std::string_view payload) {
+                     if (!(parseGridKey(key_bytes) == key))
+                         fatal("stored key does not match the requested "
+                               "key");
+                     grid = std::make_shared<const MeasuredGrid>(
+                         parseGridPayload(payload));
+                 });
+    return grid;
 }
 
-void
+bool
 SnapshotStore::storeAnalysis(const svc::AnalysisKey &key,
                              const svc::AnalysisResult &result)
 {
-    writeSnapshot(analysisPath(key), Kind::Analysis,
-                  analysisKeyBytes(key), analysisPayload(result));
-    analysisStores_.fetch_add(1, std::memory_order_relaxed);
-    storeMetrics().analysisStores.add(1);
+    return writeSnapshot(analysisPath(key), Kind::Analysis,
+                         analysisKeyBytes(key), [&result](ByteWriter &w) {
+                             writeAnalysisPayload(w, result);
+                         });
 }
 
 std::shared_ptr<const svc::AnalysisResult>
 SnapshotStore::loadAnalysis(const svc::AnalysisKey &key)
 {
-    std::string key_bytes;
-    std::string payload;
-    if (!readSnapshot(analysisPath(key), Kind::Analysis, key_bytes,
-                      payload)) {
-        return nullptr;
-    }
-    try {
-        if (!(parseAnalysisKey(key_bytes) == key))
-            fatal("stored key does not match the requested key");
-        auto result = std::make_shared<const svc::AnalysisResult>(
-            parseAnalysisPayload(payload));
-        analysisLoads_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().analysisLoads.add(1);
-        return result;
-    } catch (const FatalError &err) {
-        loadErrors_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().loadErrors.add(1);
-        warn("snapshot store: rejecting '", analysisPath(key), "': ",
-             err.what());
-        return nullptr;
-    }
+    std::shared_ptr<const svc::AnalysisResult> result;
+    readSnapshot(analysisPath(key), Kind::Analysis,
+                 [&](std::string_view key_bytes, std::string_view payload) {
+                     if (!(parseAnalysisKey(key_bytes) == key))
+                         fatal("stored key does not match the requested "
+                               "key");
+                     result = std::make_shared<const svc::AnalysisResult>(
+                         parseAnalysisPayload(payload));
+                 });
+    return result;
 }
 
 std::vector<SnapshotStore::GridEntry>
 SnapshotStore::loadAllGrids()
 {
     std::vector<GridEntry> entries;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(directory_)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("grid-", 0) != 0 ||
-            name.size() < 5 || name.substr(name.size() - 5) != ".snap") {
-            continue;
-        }
-        std::string key_bytes;
-        std::string payload;
-        if (!readSnapshot(entry.path().string(), Kind::Grid, key_bytes,
-                          payload)) {
-            continue;
-        }
-        try {
-            GridEntry loaded;
-            loaded.key = parseGridKey(key_bytes);
-            loaded.grid = std::make_shared<const MeasuredGrid>(
-                loadGridBinaryFromString(payload));
-            gridLoads_.fetch_add(1, std::memory_order_relaxed);
-            storeMetrics().gridLoads.add(1);
-            entries.push_back(std::move(loaded));
-        } catch (const FatalError &err) {
-            loadErrors_.fetch_add(1, std::memory_order_relaxed);
-            storeMetrics().loadErrors.add(1);
-            warn("snapshot store: rejecting '", entry.path().string(),
-                 "': ", err.what());
-        }
+    for (const std::string &path : snapshotPaths(directory_, "grid-")) {
+        readSnapshot(path, Kind::Grid,
+                     [&](std::string_view key, std::string_view payload) {
+                         GridEntry loaded;
+                         loaded.key = parseGridKey(key);
+                         loaded.grid = std::make_shared<const MeasuredGrid>(
+                             parseGridPayload(payload));
+                         entries.push_back(std::move(loaded));
+                     });
     }
     return entries;
 }
@@ -456,33 +538,16 @@ std::vector<SnapshotStore::AnalysisEntry>
 SnapshotStore::loadAllAnalyses()
 {
     std::vector<AnalysisEntry> entries;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(directory_)) {
-        const std::string name = entry.path().filename().string();
-        if (name.rfind("analysis-", 0) != 0 ||
-            name.size() < 5 || name.substr(name.size() - 5) != ".snap") {
-            continue;
-        }
-        std::string key_bytes;
-        std::string payload;
-        if (!readSnapshot(entry.path().string(), Kind::Analysis,
-                          key_bytes, payload)) {
-            continue;
-        }
-        try {
-            AnalysisEntry loaded;
-            loaded.key = parseAnalysisKey(key_bytes);
-            loaded.result = std::make_shared<const svc::AnalysisResult>(
-                parseAnalysisPayload(payload));
-            analysisLoads_.fetch_add(1, std::memory_order_relaxed);
-            storeMetrics().analysisLoads.add(1);
-            entries.push_back(std::move(loaded));
-        } catch (const FatalError &err) {
-            loadErrors_.fetch_add(1, std::memory_order_relaxed);
-            storeMetrics().loadErrors.add(1);
-            warn("snapshot store: rejecting '", entry.path().string(),
-                 "': ", err.what());
-        }
+    for (const std::string &path : snapshotPaths(directory_, "analysis-")) {
+        readSnapshot(path, Kind::Analysis,
+                     [&](std::string_view key, std::string_view payload) {
+                         AnalysisEntry loaded;
+                         loaded.key = parseAnalysisKey(key);
+                         loaded.result =
+                             std::make_shared<const svc::AnalysisResult>(
+                                 parseAnalysisPayload(payload));
+                         entries.push_back(std::move(loaded));
+                     });
     }
     return entries;
 }
@@ -497,6 +562,7 @@ SnapshotStore::stats() const
         analysisStores_.load(std::memory_order_relaxed);
     stats.analysisLoads = analysisLoads_.load(std::memory_order_relaxed);
     stats.loadErrors = loadErrors_.load(std::memory_order_relaxed);
+    stats.storeErrors = storeErrors_.load(std::memory_order_relaxed);
     return stats;
 }
 

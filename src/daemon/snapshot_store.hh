@@ -17,18 +17,26 @@
  *   grid-<16-hex-digit key digest>.snap
  *   analysis-<16-hex-digit key digest>.snap
  *
- * Each file is a container header (magic, version, kind, the full
- * cache key, payload length, an FNV-1a checksum covering the key
- * bytes and the payload) followed by the payload: for grids the sim/grid_io binary snapshot (itself
- * checksummed and bit-identical on round trip), for analyses a
- * common/binio.hh serialization of svc::AnalysisResult.
+ * Each file is one container (version 3): magic, version, kind, the
+ * full cache key, the payload length and one checksum64
+ * (common/hash.hh) over the key bytes and then the payload, followed
+ * by the payload.  A grid payload is its body format word and the
+ * sim/grid_io binary grid body; an analysis payload is a
+ * common/binio.hh serialization of svc::AnalysisResult.  Both round
+ * trip bit for bit.
  *
- * Durability: every store writes to a unique temporary name in the
- * same directory and atomically renames it into place, so a crash
- * (kill -9) mid-write leaves either the old file or no file — never a
- * torn one.  Loads verify magic, version, kind, key, and checksum;
- * anything that fails verification is counted, warned about, and
- * skipped (a corrupt snapshot degrades to a cache miss, never to UB).
+ * I/O: a store serializes the container once into one buffer and
+ * writes it with one write; a load reads the file with one sized read
+ * and parses the payload in place.  Durability: the write goes to a
+ * unique temporary name in the same directory, which is atomically
+ * renamed into place, so a crash (kill -9) mid-write leaves either the
+ * old file or no file — never a torn one.  Writes are best-effort: a
+ * failed one (directory gone, disk full) removes its temporary file
+ * and is counted and warned about, and the caller carries on.  Loads
+ * verify magic, version, kind, key, length and checksum; anything that
+ * fails verification is counted, warned about, and skipped (a corrupt
+ * snapshot, or one in an older container version, degrades to a cache
+ * miss, never to UB).
  */
 
 #ifndef MCDVFS_DAEMON_SNAPSHOT_STORE_HH
@@ -36,10 +44,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/binio.hh"
 #include "svc/analysis_cache.hh"
 #include "svc/grid_cache.hh"
 
@@ -59,10 +70,12 @@ class SnapshotStore
     /**
      * Current container version.  v2 added the GPU frequency to every
      * serialized FrequencySetting (optimal choices and stable-region
-     * chosen settings); v1 containers are rejected as a counted miss
-     * and simply recomputed.
+     * chosen settings).  v3 embeds the grid body directly instead of a
+     * nested sim/grid_io snapshot, and replaces byte-wise FNV-1a with
+     * checksum64.  Older containers are rejected as a counted miss and
+     * simply recomputed.
      */
-    static constexpr std::uint32_t kVersion = 2;
+    static constexpr std::uint32_t kVersion = 3;
 
     /** Monotonic per-store I/O counters. */
     struct Stats
@@ -73,6 +86,8 @@ class SnapshotStore
         std::uint64_t analysisLoads = 0;
         /** Files rejected as truncated / corrupt / mismatched. */
         std::uint64_t loadErrors = 0;
+        /** Writes that failed (nothing stored; the caller carries on). */
+        std::uint64_t storeErrors = 0;
     };
 
     /** One reloaded grid snapshot with its cache key. */
@@ -97,8 +112,13 @@ class SnapshotStore
 
     const std::string &directory() const { return directory_; }
 
-    /** Persist a grid under its cache key (write-to-temp + rename). */
-    void storeGrid(const svc::GridKey &key, const MeasuredGrid &grid);
+    /**
+     * Persist a grid under its cache key (write-to-temp + rename).
+     * @return false when the write failed (counted in
+     *         stats().storeErrors and warned about; never throws
+     *         FatalError)
+     */
+    bool storeGrid(const svc::GridKey &key, const MeasuredGrid &grid);
 
     /**
      * Load the grid stored under @c key; nullptr when absent or when
@@ -106,8 +126,8 @@ class SnapshotStore
      */
     std::shared_ptr<const MeasuredGrid> loadGrid(const svc::GridKey &key);
 
-    /** Persist an analysis under its cache key. */
-    void storeAnalysis(const svc::AnalysisKey &key,
+    /** Persist an analysis under its cache key (false as storeGrid). */
+    bool storeAnalysis(const svc::AnalysisKey &key,
                        const svc::AnalysisResult &result);
 
     /** Load the analysis stored under @c key (nullptr as loadGrid). */
@@ -132,21 +152,33 @@ class SnapshotStore
         Analysis = 2,
     };
 
+    /** Serializes a payload into the container buffer. */
+    using PayloadWriter = std::function<void(ByteWriter &)>;
+
+    /** Parses a verified snapshot's key bytes and payload, in place. */
+    using SnapshotParser =
+        std::function<void(std::string_view key, std::string_view payload)>;
+
     std::string gridPath(const svc::GridKey &key) const;
     std::string analysisPath(const svc::AnalysisKey &key) const;
 
-    /** Write container + payload to a temp file, rename into place. */
-    void writeSnapshot(const std::string &path, Kind kind,
+    /**
+     * Serialize the container (@c payload appends the payload), write
+     * it to a temp file and rename that into place; false after
+     * counting and warning when any step fails.
+     */
+    bool writeSnapshot(const std::string &path, Kind kind,
                        const std::string &keyBytes,
-                       const std::string &payload);
+                       const PayloadWriter &payload);
 
     /**
-     * Read and verify one container; returns false (after counting
-     * and warning) when the file is absent or fails verification.
-     * On success fills @c keyBytes and @c payload.
+     * Read and verify one container and hand it to @c parse.  Returns
+     * false for an absent file (a miss, not an error) and, after
+     * counting and warning, for one that fails verification or
+     * parsing.
      */
     bool readSnapshot(const std::string &path, Kind kind,
-                      std::string &keyBytes, std::string &payload);
+                      const SnapshotParser &parse);
 
     std::string directory_;
     std::atomic<std::uint64_t> tempSeq_{0};
@@ -155,6 +187,7 @@ class SnapshotStore
     std::atomic<std::uint64_t> analysisStores_{0};
     std::atomic<std::uint64_t> analysisLoads_{0};
     std::atomic<std::uint64_t> loadErrors_{0};
+    std::atomic<std::uint64_t> storeErrors_{0};
 };
 
 } // namespace daemon

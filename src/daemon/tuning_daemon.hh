@@ -24,11 +24,13 @@
  *    independent pool tasks, so distinct grids characterize
  *    concurrently.
  *  - Persistence: with a SnapshotStore attached, every fresh grid
- *    build and fresh analysis is written through to the store, and
- *    construction warm-loads every stored snapshot into the caches —
- *    a restarted daemon answers its first requests from the store
- *    instead of recharacterizing the fleet (snapshots round-trip
- *    bit-identically, so warm results equal cold results exactly).
+ *    build and fresh analysis is written through to the store (best
+ *    effort: a failed write is counted and the request still
+ *    served), and construction warm-loads every stored snapshot into
+ *    the caches — a restarted daemon answers its first requests from
+ *    the store instead of recharacterizing the fleet (snapshots
+ *    round-trip bit-identically, so warm results equal cold results
+ *    exactly).
  *  - Shutdown: drain() stops admission (Draining sheds), finishes the
  *    queue and every in-flight batch, then drains the pool — no
  *    accepted request is ever dropped.

@@ -190,16 +190,6 @@ loadGridFromString(const std::string &text)
 namespace
 {
 
-/** Checksum guarding a binary payload (byte-wise FNV-1a). */
-std::uint64_t
-payloadChecksum(const std::string &payload)
-{
-    std::uint64_t hash = kFnvOffsetBasis;
-    for (const char c : payload)
-        hash = fnv1aByte(hash, static_cast<std::uint8_t>(c));
-    return hash;
-}
-
 /**
  * Upper bound on a plausible payload (a fine-space grid of thousands
  * of samples is tens of MiB); a corrupted length word must not turn
@@ -207,15 +197,78 @@ payloadChecksum(const std::string &payload)
  */
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 31;
 
-/** Serialize the grid body (everything after the container header). */
-std::string
-gridPayload(const MeasuredGrid &grid)
+/** Magic, version word, payload length and payload checksum. */
+constexpr std::size_t kBinaryHeaderBytes =
+    sizeof(kGridBinaryMagic) + 4 + 8 + 8;
+
+/** The fixed header of a binary snapshot. */
+struct BinaryHeader
 {
-    // Two-domain grids produce the historical v1 payload byte for
-    // byte; the GPU ladder, the two GPU profile fields and the sixth
-    // cell column exist only in v2 payloads.
-    const bool has_gpu = grid.space().hasGpu();
-    ByteWriter w;
+    std::uint32_t version = 0;
+    std::uint64_t payloadSize = 0;
+    std::uint64_t checksum = 0;
+};
+
+/** Verify and decode the header at the front of @c bytes. */
+BinaryHeader
+readBinaryHeader(std::string_view bytes)
+{
+    if (bytes.size() < sizeof(kGridBinaryMagic))
+        fatal("grid snapshot: truncated header (", bytes.size(), " of ",
+              sizeof(kGridBinaryMagic), " magic bytes)");
+    if (std::memcmp(bytes.data(), kGridBinaryMagic,
+                    sizeof(kGridBinaryMagic)) != 0)
+        fatal("grid snapshot: bad magic (not a binary grid snapshot)");
+    if (bytes.size() < kBinaryHeaderBytes)
+        fatal("grid snapshot: truncated header fields");
+    ByteReader r(bytes.substr(sizeof(kGridBinaryMagic),
+                              kBinaryHeaderBytes - sizeof(kGridBinaryMagic)),
+                 "grid snapshot header");
+    BinaryHeader header;
+    header.version = r.u32();
+    header.payloadSize = r.u64();
+    header.checksum = r.u64();
+    if (header.payloadSize > kMaxPayloadBytes)
+        fatal("grid snapshot: implausible payload size ",
+              header.payloadSize);
+    return header;
+}
+
+/** Verify the payload's checksum (byte-wise FNV-1a) and parse it in place. */
+MeasuredGrid
+readBinaryPayload(std::string_view payload, const BinaryHeader &header)
+{
+    if (fnv1aString(kFnvOffsetBasis, payload) != header.checksum)
+        fatal("grid snapshot: checksum mismatch (corrupt snapshot)");
+    ByteReader r(payload, "grid snapshot");
+    return readGridBody(r, header.version);
+}
+
+} // namespace
+
+std::uint32_t
+gridBodyFormat(const MeasuredGrid &grid)
+{
+    return grid.space().hasGpu() ? 2 : 1;
+}
+
+void
+writeGridBody(ByteWriter &w, const MeasuredGrid &grid)
+{
+    // Two-domain grids produce the historical v1 body byte for byte;
+    // the GPU ladder, the two GPU profile fields and the sixth cell
+    // column exist only in format 2.
+    const bool has_gpu = gridBodyFormat(grid) == 2;
+    const std::size_t doubles_per_cell = has_gpu ? 6 : 5;
+    const std::size_t doubles_per_profile = has_gpu ? 14 : 12;
+    // Cells and profiles are nearly all of it: one allocation (a
+    // profile's phase name is budgeted at up to 60 bytes).
+    w.reserve(grid.sampleCount() *
+                  (grid.settingCount() * doubles_per_cell +
+                   (grid.hasProfiles() ? doubles_per_profile + 8 : 0)) *
+                  sizeof(double) +
+              256);
+
     w.str(grid.workload());
     w.u64(grid.sampleCount());
     w.u64(grid.instructionsPerSample());
@@ -254,26 +307,30 @@ gridPayload(const MeasuredGrid &grid)
         }
     }
 
+    // Cell by cell, as readGridBody expects: one append per row.
+    const std::size_t cell_bytes = doubles_per_cell * sizeof(double);
     for (std::size_t s = 0; s < grid.sampleCount(); ++s) {
-        for (std::size_t k = 0; k < grid.settingCount(); ++k) {
-            w.f64(grid.secondsAt(s, k));
-            w.f64(grid.cpuEnergyAt(s, k));
-            w.f64(grid.memEnergyAt(s, k));
-            w.f64(grid.busyFracAt(s, k));
-            w.f64(grid.bwUtilAt(s, k));
+        char *cell = w.extend(grid.settingCount() * cell_bytes);
+        for (std::size_t k = 0; k < grid.settingCount();
+             ++k, cell += cell_bytes) {
+            storeF64(cell, grid.secondsAt(s, k));
+            storeF64(cell + 8, grid.cpuEnergyAt(s, k));
+            storeF64(cell + 16, grid.memEnergyAt(s, k));
+            storeF64(cell + 24, grid.busyFracAt(s, k));
+            storeF64(cell + 32, grid.bwUtilAt(s, k));
             if (has_gpu)
-                w.f64(grid.gpuEnergyAt(s, k));
+                storeF64(cell + 40, grid.gpuEnergyAt(s, k));
         }
     }
-    return w.take();
 }
 
-/** Parse the grid body (payload already checksum-verified). */
 MeasuredGrid
-parseGridPayload(const std::string &payload, std::uint32_t version)
+readGridBody(ByteReader &r, std::uint32_t format)
 {
-    const bool has_gpu = version >= 2;
-    ByteReader r(payload, "grid snapshot");
+    if (format < 1 || format > kGridBinaryVersion)
+        fatal("grid snapshot: unsupported version ", format,
+              " (expected 1..", kGridBinaryVersion, ")");
+    const bool has_gpu = format == 2;
 
     std::string workload = r.str();
     const std::uint64_t samples = r.u64();
@@ -284,10 +341,11 @@ parseGridPayload(const std::string &payload, std::uint32_t version)
         if (count == 0 || count > 1'000'000)
             fatal("grid snapshot: implausible ", name, " ladder size ",
                   count);
-        std::vector<Hertz> steps;
-        steps.reserve(count);
+        const char *steps_at =
+            r.bytes(count * sizeof(double), "ladder").data();
+        std::vector<Hertz> steps(count);
         for (std::uint32_t i = 0; i < count; ++i)
-            steps.push_back(r.f64());
+            steps[i] = loadF64(steps_at + i * sizeof(double));
         return FrequencyLadder(std::move(steps));
     };
     FrequencyLadder cpu = read_ladder("cpu");
@@ -335,16 +393,20 @@ parseGridPayload(const std::string &payload, std::uint32_t version)
         grid.setProfiles(std::move(profiles));
     }
 
+    // The grid keeps one column per quantity: each row is one bounds
+    // check, then a strided decode.
+    const std::size_t cell_bytes = doubles_per_cell * sizeof(double);
     for (std::uint64_t s = 0; s < samples; ++s) {
+        const char *cell = r.bytes(settings * cell_bytes, "grid row").data();
         MeasuredGrid::RowView row = grid.fillRow(s);
-        for (std::size_t k = 0; k < settings; ++k) {
-            row.seconds[k] = r.f64();
-            row.cpuEnergy[k] = r.f64();
-            row.memEnergy[k] = r.f64();
-            row.busyFrac[k] = r.f64();
-            row.bwUtil[k] = r.f64();
+        for (std::size_t k = 0; k < settings; ++k, cell += cell_bytes) {
+            row.seconds[k] = loadF64(cell);
+            row.cpuEnergy[k] = loadF64(cell + 8);
+            row.memEnergy[k] = loadF64(cell + 16);
+            row.busyFrac[k] = loadF64(cell + 24);
+            row.bwUtil[k] = loadF64(cell + 32);
             if (has_gpu)
-                row.gpuEnergy[k] = r.f64();
+                row.gpuEnergy[k] = loadF64(cell + 40);
         }
         grid.updateSampleAggregates(s);
     }
@@ -353,75 +415,62 @@ parseGridPayload(const std::string &payload, std::uint32_t version)
     return grid;
 }
 
-} // namespace
+std::string
+saveGridBinaryToString(const MeasuredGrid &grid)
+{
+    ByteWriter w;
+    for (const char c : kGridBinaryMagic)
+        w.u8(static_cast<std::uint8_t>(c));
+    w.u32(gridBodyFormat(grid));
+    const std::size_t size_at = w.size();
+    w.u64(0);  // payload size and checksum, filled in below
+    w.u64(0);
+    writeGridBody(w, grid);
+    const std::string_view payload =
+        std::string_view(w.bytes()).substr(kBinaryHeaderBytes);
+    const std::uint64_t checksum = fnv1aString(kFnvOffsetBasis, payload);
+    w.patchU64(size_at, payload.size());
+    w.patchU64(size_at + 8, checksum);
+    return w.take();
+}
 
 void
 saveGridBinary(const MeasuredGrid &grid, std::ostream &os)
 {
-    const std::string payload = gridPayload(grid);
-    ByteWriter header;
-    for (const char c : kGridBinaryMagic)
-        header.u8(static_cast<std::uint8_t>(c));
-    header.u32(grid.space().hasGpu() ? 2 : 1);
-    header.u64(payload.size());
-    header.u64(payloadChecksum(payload));
-    os.write(header.bytes().data(),
-             static_cast<std::streamsize>(header.bytes().size()));
-    os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    const std::string bytes = saveGridBinaryToString(grid);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     if (!os)
         fatal("grid snapshot: write failed");
-}
-
-std::string
-saveGridBinaryToString(const MeasuredGrid &grid)
-{
-    std::ostringstream os;
-    saveGridBinary(grid, os);
-    return os.str();
 }
 
 MeasuredGrid
 loadGridBinary(std::istream &is)
 {
-    char magic[sizeof(kGridBinaryMagic)] = {};
-    is.read(magic, sizeof(magic));
-    if (is.gcount() != sizeof(magic))
-        fatal("grid snapshot: truncated header (", is.gcount(),
-              " of ", sizeof(magic), " magic bytes)");
-    if (std::memcmp(magic, kGridBinaryMagic, sizeof(magic)) != 0)
-        fatal("grid snapshot: bad magic (not a binary grid snapshot)");
-
-    char fixed[4 + 8 + 8] = {};
+    char fixed[kBinaryHeaderBytes] = {};
     is.read(fixed, sizeof(fixed));
-    if (is.gcount() != sizeof(fixed))
-        fatal("grid snapshot: truncated header fields");
-    ByteReader header(std::string_view(fixed, sizeof(fixed)),
-                      "grid snapshot header");
-    const std::uint32_t version = header.u32();
-    if (version < 1 || version > kGridBinaryVersion)
-        fatal("grid snapshot: unsupported version ", version,
-              " (expected 1..", kGridBinaryVersion, ")");
-    const std::uint64_t payload_size = header.u64();
-    const std::uint64_t checksum = header.u64();
-    if (payload_size > kMaxPayloadBytes)
-        fatal("grid snapshot: implausible payload size ", payload_size);
+    const BinaryHeader header = readBinaryHeader(
+        std::string_view(fixed, static_cast<std::size_t>(is.gcount())));
 
-    std::string payload(static_cast<std::size_t>(payload_size), '\0');
+    std::string payload(static_cast<std::size_t>(header.payloadSize), '\0');
     is.read(payload.data(),
             static_cast<std::streamsize>(payload.size()));
-    if (static_cast<std::uint64_t>(is.gcount()) != payload_size)
+    if (static_cast<std::uint64_t>(is.gcount()) != header.payloadSize)
         fatal("grid snapshot: truncated payload (expected ",
-              payload_size, " bytes, got ", is.gcount(), ")");
-    if (payloadChecksum(payload) != checksum)
-        fatal("grid snapshot: checksum mismatch (corrupt snapshot)");
-    return parseGridPayload(payload, version);
+              header.payloadSize, " bytes, got ", is.gcount(), ")");
+    return readBinaryPayload(payload, header);
 }
 
 MeasuredGrid
 loadGridBinaryFromString(const std::string &bytes)
 {
-    std::istringstream is(bytes);
-    return loadGridBinary(is);
+    const BinaryHeader header = readBinaryHeader(bytes);
+    const std::string_view payload =
+        std::string_view(bytes).substr(kBinaryHeaderBytes);
+    if (payload.size() < header.payloadSize)
+        fatal("grid snapshot: truncated payload (expected ",
+              header.payloadSize, " bytes, got ", payload.size(), ")");
+    return readBinaryPayload(payload.substr(0, header.payloadSize),
+                             header);
 }
 
 } // namespace mcdvfs

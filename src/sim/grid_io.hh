@@ -22,22 +22,26 @@
  * <gpuActivity> before the phase name, and cell lines end with the
  * GPU energy column.  The loader accepts both versions.
  *
- * The binary format is the snapshot-store representation (see
- * daemon/snapshot_store.hh): an 8-byte magic, a version word, the
- * payload length, and an FNV-1a checksum of the payload, followed by
- * the payload itself (common/binio.hh fields; doubles by bit pattern,
- * so a round trip is bit-identical by construction).  The loader
- * rejects truncated, corrupt, or version-mismatched input with a
- * FatalError carrying a specific diagnostic — never UB, never a
- * silently partial grid.
+ * The binary grid body (writeGridBody / readGridBody) is the one
+ * binary grid codec: common/binio.hh fields, doubles by bit pattern,
+ * so a round trip is bit-identical by construction.  Two containers
+ * wrap it.  The binary snapshot here puts an 8-byte magic, the body
+ * format as its version word, the payload length and a byte-wise
+ * FNV-1a checksum of the payload in front of it; the daemon's
+ * snapshot store (daemon/snapshot_store.hh) embeds it in its own
+ * checksummed container.  The loaders reject truncated, corrupt, or
+ * version-mismatched input with a FatalError carrying a specific
+ * diagnostic — never UB, never a silently partial grid.
  */
 
 #ifndef MCDVFS_SIM_GRID_IO_HH
 #define MCDVFS_SIM_GRID_IO_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
+#include "common/binio.hh"
 #include "sim/measured_grid.hh"
 
 namespace mcdvfs
@@ -58,6 +62,27 @@ MeasuredGrid loadGrid(std::istream &is);
 /** Parse from a string (convenience). */
 MeasuredGrid loadGridFromString(const std::string &text);
 
+/** @name Binary grid body (the one binary grid codec). */
+///@{
+
+/**
+ * Body format @c grid is written in, which the container records:
+ * 1 for two-domain grids (byte-identical to historical snapshots), 2
+ * for three-domain grids (GPU ladder, two GPU profile fields, a sixth
+ * cell column).  The body itself does not say which it is.
+ */
+std::uint32_t gridBodyFormat(const MeasuredGrid &grid);
+
+/** Append @c grid's body, in format gridBodyFormat(grid), to @c w. */
+void writeGridBody(ByteWriter &w, const MeasuredGrid &grid);
+
+/**
+ * Parse a body of @c format in place; it must run to the end of @c r.
+ * @throws FatalError on an unknown format or any malformed field.
+ */
+MeasuredGrid readGridBody(ByteReader &r, std::uint32_t format);
+///@}
+
 /** @name Binary snapshots (checksummed, bit-identical round trip). */
 ///@{
 
@@ -66,10 +91,9 @@ inline constexpr char kGridBinaryMagic[8] = {'m', 'c', 'd', 'v',
                                              'f', 's', 'G', 'B'};
 
 /**
- * Newest supported binary snapshot version.  Two-domain grids are
- * written as v1 (byte-identical to historical snapshots); three-domain
- * grids as v2 (GPU ladder, GPU profile fields, sixth cell column).
- * The loader accepts both.
+ * Newest supported binary snapshot version, which is the body format
+ * (gridBodyFormat): v1 for two-domain grids, v2 for three-domain
+ * grids.  The loaders accept both.
  */
 inline constexpr std::uint32_t kGridBinaryVersion = 2;
 
@@ -89,7 +113,7 @@ std::string saveGridBinaryToString(const MeasuredGrid &grid);
  */
 MeasuredGrid loadGridBinary(std::istream &is);
 
-/** Parse from a string (convenience). */
+/** Parse from a string, in place (no copy of the payload). */
 MeasuredGrid loadGridBinaryFromString(const std::string &bytes);
 ///@}
 

@@ -1,9 +1,11 @@
 /**
  * @file
  * SnapshotStore tests: bit-identical grid and analysis round trips,
- * fingerprint addressing (including mismatched-key rejection),
- * corrupt/truncated/version-skewed file rejection, atomic-write
- * hygiene, and warm-restart bulk loads.
+ * the grid file's bytes, fingerprint addressing (including
+ * mismatched-key rejection), corrupt/truncated/version-skewed file
+ * rejection, the rebuild of a store written by the previous container
+ * version, atomic-write hygiene (also when a write fails), and
+ * warm-restart bulk loads.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +14,10 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "daemon/snapshot_store.hh"
+#include "daemon/tuning_daemon.hh"
 #include "sim/grid_io.hh"
 #include "svc/characterization_service.hh"
 #include "test_grid.hh"
@@ -335,6 +339,119 @@ TEST(SnapshotStore, RejectsCorruptTruncatedAndSkewedFiles)
         EXPECT_NE(store.loadGrid(key), nullptr);
         EXPECT_EQ(store.stats().loadErrors, 0u);
     }
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotStore, GridFileMatchesTheGolden)
+{
+    // The container is a file format: pin a three-domain grid file's
+    // bytes (header, body format word, grid body and checksum64).
+    const std::string dir = freshDir("golden");
+    SnapshotStore store(dir);
+    ASSERT_TRUE(store.storeGrid(
+        gridKey(1), test::handGrid(SettingsSpace::coarse3(), 3)));
+    const std::string path = onlySnapshotPath(dir);
+    EXPECT_EQ(fs::path(path).filename(), "grid-f5e14c8e821328b9.snap");
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes.size(), 81298u);
+    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, bytes), 0x8ed54ebd416f7458ull);
+    fs::remove_all(dir);
+}
+
+/** The container version word (little-endian u32 at offset 8). */
+std::uint32_t
+versionWord(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    char bytes[12] = {};
+    in.read(bytes, sizeof(bytes));
+    std::uint32_t version = 0;
+    for (int i = 0; i < 4; ++i)
+        version |= static_cast<std::uint32_t>(
+                       static_cast<unsigned char>(bytes[8 + i]))
+                   << (8 * i);
+    return version;
+}
+
+TEST(SnapshotStore, RejectsThePreviousContainerVersion)
+{
+    const std::string dir = freshDir("previous_version");
+    daemon::DaemonOptions options;
+    options.storeDir = dir;
+    const svc::TuningRequest request{test::steadyWorkload(),
+                                     SettingsSpace::coarse(), 1.3, 0.03};
+    {
+        daemon::TuningDaemon daemon(test::fastSystemConfig(), options);
+        ASSERT_TRUE(daemon.submit(request).get().ok());
+    }
+
+    // Rewrite every snapshot's version word to 2, as a store written
+    // before the upgrade would read.
+    std::vector<std::string> paths;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir)) {
+        paths.push_back(entry.path().string());
+        ASSERT_EQ(versionWord(paths.back()), SnapshotStore::kVersion);
+        std::fstream file(paths.back(),
+                          std::ios::binary | std::ios::in | std::ios::out);
+        file.seekp(8);
+        file.put(2);
+    }
+    ASSERT_EQ(paths.size(), 2u);  // one grid, one analysis
+
+    {
+        SnapshotStore store(dir);
+        EXPECT_TRUE(store.loadAllGrids().empty());
+        EXPECT_EQ(store.stats().loadErrors, 1u);
+        EXPECT_EQ(store.stats().gridLoads, 0u);
+    }
+
+    // A daemon over the old store warm-loads nothing, serves the
+    // request cold, and rewrites both snapshots in the current version.
+    {
+        daemon::TuningDaemon daemon(test::fastSystemConfig(), options);
+        EXPECT_EQ(daemon.stats().warmGrids, 0u);
+        EXPECT_EQ(daemon.stats().warmAnalyses, 0u);
+        EXPECT_EQ(daemon.store()->stats().loadErrors, 2u);
+        const daemon::DaemonResponse response =
+            daemon.submit(request).get();
+        ASSERT_TRUE(response.ok());
+        EXPECT_FALSE(response.result.cacheHit);
+        EXPECT_FALSE(response.result.analysisCacheHit);
+    }
+    for (const std::string &path : paths)
+        EXPECT_EQ(versionWord(path), SnapshotStore::kVersion) << path;
+
+    daemon::TuningDaemon restarted(test::fastSystemConfig(), options);
+    EXPECT_EQ(restarted.stats().warmGrids, 1u);
+    EXPECT_EQ(restarted.stats().warmAnalyses, 1u);
+    EXPECT_EQ(restarted.store()->stats().loadErrors, 0u);
+    restarted.drain();
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotStore, FailedWriteIsCountedAndLeavesNoTempFile)
+{
+    const std::string dir = freshDir("failed_write");
+    const svc::GridKey key = gridKey(4);
+    std::string path;
+    {
+        SnapshotStore store(dir);
+        store.storeGrid(key, test::phasedGrid());
+        path = onlySnapshotPath(dir);
+    }
+    // A non-empty directory under the snapshot's name: the temp file
+    // is written, but renaming it into place fails.
+    fs::remove(path);
+    fs::create_directories(path + "/blocker");
+
+    SnapshotStore store(dir);
+    EXPECT_FALSE(store.storeGrid(key, test::steadyGrid()));
+    EXPECT_EQ(store.stats().storeErrors, 1u);
+    EXPECT_EQ(store.stats().gridStores, 0u);
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir))
+        EXPECT_EQ(entry.path().string(), path);  // no *.tmp* residue
     fs::remove_all(dir);
 }
 

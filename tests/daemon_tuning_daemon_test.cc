@@ -3,8 +3,9 @@
  * TuningDaemon tests: pipeline results match the direct service path
  * bit-for-bit, admission control sheds (queue-full and draining),
  * drain completes every admitted request, a warm restart answers
- * from the snapshot store, an invalid request fails alone, and the
- * journal's class id is the FNV-1a of the workload name.
+ * from the snapshot store, a failed snapshot write does not fail the
+ * request, an invalid request fails alone, and the journal's class id
+ * is the FNV-1a of the workload name.
  */
 
 #include <gtest/gtest.h>
@@ -244,6 +245,37 @@ TEST(TuningDaemon, WarmRestartAnswersFromTheSnapshotStore)
     EXPECT_TRUE(warm.result.analysisCacheHit);
     expectResultsBitEqual(warm.result, cold);
     fs::remove_all(dir);
+}
+
+TEST(TuningDaemon, ServesWhenSnapshotWritesFail)
+{
+    const std::string dir = "daemon_vanished_store";
+    fs::remove_all(dir);
+    DaemonOptions options;
+    options.storeDir = dir;
+    TuningDaemon daemon(fastConfig(), options);
+    // The store directory disappears under the running daemon, so
+    // every snapshot write fails (unlike a read-only chmod, this also
+    // holds when the tests run as root).
+    fs::remove_all(dir);
+
+    const DaemonResponse cold = daemon.submit(tinyRequest()).get();
+    ASSERT_TRUE(cold.ok());
+    EXPECT_FALSE(cold.result.cacheHit);
+    const DaemonResponse repeat = daemon.submit(tinyRequest()).get();
+    ASSERT_TRUE(repeat.ok());
+    EXPECT_TRUE(repeat.result.cacheHit);
+    EXPECT_TRUE(repeat.result.analysisCacheHit);
+    expectResultsBitEqual(repeat.result, cold.result);
+    daemon.drain();
+
+    const daemon::SnapshotStore::Stats stats = daemon.store()->stats();
+    EXPECT_GE(stats.storeErrors, 1u);
+    EXPECT_EQ(stats.gridStores, 0u);
+    EXPECT_EQ(stats.analysisStores, 0u);
+    // The store writes only inside its directory, which no write
+    // recreated: no temporary file is left anywhere.
+    EXPECT_FALSE(fs::exists(dir));
 }
 
 TEST(TuningDaemon, InvalidRequestFailsAloneInItsBatch)

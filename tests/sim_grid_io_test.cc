@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/inefficiency.hh"
 #include "sim/grid_io.hh"
@@ -111,6 +112,21 @@ TEST(GridIo, RejectsOutOfRangeCell)
 // Binary snapshot layout (for the corruption tests below): 8-byte
 // magic, u32 version at offset 8, u64 payload size at 12, u64 payload
 // checksum at 20, payload from 28.
+
+TEST(GridIoBinary, BytesMatchTheGolden)
+{
+    // The binary snapshot is a file format: pin its bytes, two-domain
+    // (v1) and three-domain (v2), on grids whose values involve no
+    // simulation.
+    const std::string two =
+        saveGridBinaryToString(test::handGrid(SettingsSpace::coarse(), 3));
+    EXPECT_EQ(two.size(), 8906u);
+    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, two), 0x8bcb7d2d3f509b1dull);
+    const std::string three =
+        saveGridBinaryToString(test::handGrid(SettingsSpace::coarse3(), 3));
+    EXPECT_EQ(three.size(), 81262u);
+    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, three), 0x0ca05958d7bf6789ull);
+}
 
 TEST(GridIoBinary, RoundTripIsBitIdentical)
 {

@@ -82,6 +82,33 @@ steadyGrid()
     return grid;
 }
 
+/**
+ * A grid over @c space whose cells and profiles are set by formula, so
+ * its bytes depend on the serializer alone (no simulation, no libm).
+ */
+inline MeasuredGrid
+handGrid(const SettingsSpace &space, std::size_t samples)
+{
+    MeasuredGrid grid("hand", space, samples, 1000);
+    std::vector<SampleProfile> profiles(samples);
+    for (std::size_t s = 0; s < samples; ++s) {
+        for (std::size_t k = 0; k < grid.settingCount(); ++k) {
+            GridCellRef cell = grid.cell(s, k);
+            cell.seconds = 0.001 * static_cast<double>(s + 1) + 1e-6 * k;
+            cell.cpuEnergy = 0.5 + 0.25 * s + 1e-4 * k;
+            cell.memEnergy = 0.125 + 1e-5 * k;
+            cell.busyFrac = 1.0 / static_cast<double>(k + 1);
+            cell.bwUtil = 0.0625 * s;
+            cell.gpuEnergy = space.hasGpu() ? 0.03125 * k : 0.0;
+        }
+        profiles[s].phaseName = s % 2 ? "mem" : "cpu";
+        profiles[s].baseCpi = 1.0 + 0.5 * s;
+        profiles[s].gpuActivity = 0.25;
+    }
+    grid.setProfiles(std::move(profiles));
+    return grid;
+}
+
 } // namespace test
 } // namespace mcdvfs
 
