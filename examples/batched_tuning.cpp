@@ -1,22 +1,24 @@
 /**
  * @file
- * Batched tuning through the characterization service.
+ * Batched tuning through the tuning daemon.
  *
  * A device vendor profiling its app catalog wants stable-region tables
  * for many (workload, budget) pairs.  Instead of driving GridRunner
- * and the analysis chain by hand, this example submits one batch to
- * CharacterizationService: grid builds fan out over a thread pool,
- * requests sharing a workload reuse one characterization, and a second
- * round over the same catalog is served entirely from the grid cache.
+ * and the analysis chain by hand, this example submits the catalog to
+ * an in-memory TuningDaemon: its batcher groups requests by grid, grid
+ * builds fan out over a thread pool, requests sharing a workload reuse
+ * one characterization, and a second round over the same catalog is
+ * served entirely from the grid cache.
  *
  *   ./batched_tuning [--jobs N] [--threshold PCT]
  */
 
+#include <future>
 #include <iostream>
 
 #include "common/args.hh"
 #include "common/table.hh"
-#include "svc/characterization_service.hh"
+#include "daemon/tuning_daemon.hh"
 #include "trace/workloads.hh"
 
 using namespace mcdvfs;
@@ -56,6 +58,25 @@ report(const std::string &title,
     table.print(std::cout);
 }
 
+/** Submit every request, then wait for all of them in order. */
+std::vector<svc::TuningResult>
+tune(daemon::TuningDaemon &server,
+     const std::vector<svc::TuningRequest> &requests)
+{
+    std::vector<std::future<daemon::DaemonResponse>> futures;
+    for (const svc::TuningRequest &request : requests)
+        futures.push_back(server.submit(request));
+    std::vector<svc::TuningResult> results;
+    for (std::future<daemon::DaemonResponse> &future : futures) {
+        daemon::DaemonResponse response = future.get();
+        if (!response.ok())
+            fatal("request shed (", daemon::shedReasonName(response.shed),
+                  ")");
+        results.push_back(std::move(response.result));
+    }
+    return results;
+}
+
 } // namespace
 
 int
@@ -67,11 +88,12 @@ main(int argc, char **argv)
     try {
         args.parse(argc, argv);
 
-        svc::ServiceOptions options;
-        options.jobs =
+        daemon::DaemonOptions options;
+        options.service.jobs =
             static_cast<std::size_t>(args.getInt("jobs", 4, 1, 1024));
-        svc::CharacterizationService service(
-            SystemConfig::paperDefault(), options);
+        daemon::TuningDaemon server(SystemConfig::paperDefault(),
+                                    options);
+        svc::CharacterizationService &service = server.service();
         const double threshold =
             args.getDouble("threshold", 3.0) / 100.0;
 
@@ -89,11 +111,12 @@ main(int argc, char **argv)
         report("first round: characterize + tune (" +
                    Table::num(static_cast<long long>(service.jobs())) +
                    " jobs)",
-               requests, service.submitBatch(requests));
+               requests, tune(server, requests));
 
         // Second round over the same catalog: pure cache hits.
         report("second round: same catalog, served from cache",
-               requests, service.submitBatch(requests));
+               requests, tune(server, requests));
+        server.drain();
 
         const svc::GridCache::Stats stats = service.cacheStats();
         std::cout << "\ngrid cache: " << stats.hits << " hits, "

@@ -39,11 +39,6 @@ AnalysisSweep::run(const std::vector<SweepPoint> &points,
 {
     const MeasuredGrid &grid = clusters_.finder().analysis().grid();
     const std::size_t samples = grid.sampleCount();
-    const std::size_t settings = grid.settingCount();
-    if (!SettingMask::supports(settings)) {
-        fatal("analysis sweep: settings space of ", settings,
-              " exceeds the mask capacity of ", SettingMask::kCapacity);
-    }
     if (points.empty())
         return {};
 

@@ -45,19 +45,13 @@ struct SweepResult
 class AnalysisSweep
 {
   public:
-    /**
-     * @param clusters cluster source (must outlive the sweep); its
-     *        settings space must fit SettingMask::kCapacity
-     */
+    /** @param clusters cluster source (must outlive the sweep) */
     explicit AnalysisSweep(const ClusterFinder &clusters);
 
     /**
      * Evaluate every point, fanning the flattened point x sample work
      * list over @c pool (nullptr = serial).  Output order follows
      * @c points.
-     *
-     * @throws FatalError when the settings space exceeds the mask
-     *         capacity (sweeps target the paper's 70/496 spaces)
      */
     std::vector<SweepResult> run(const std::vector<SweepPoint> &points,
                                  exec::ThreadPool *pool = nullptr) const;

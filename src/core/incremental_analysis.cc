@@ -1,6 +1,9 @@
 #include "core/incremental_analysis.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
+#include "exec/thread_pool.hh"
 
 namespace mcdvfs
 {
@@ -8,7 +11,7 @@ namespace mcdvfs
 void
 IncrementalAnalyzer::extend(AnalysisCheckpoint &checkpoint,
                             const ClusterFinder &clusters,
-                            std::size_t new_total)
+                            std::size_t new_total, exec::ThreadPool *pool)
 {
     const MeasuredGrid &grid = clusters.finder().analysis().grid();
     const SettingsSpace &space = grid.space();
@@ -21,17 +24,25 @@ IncrementalAnalyzer::extend(AnalysisCheckpoint &checkpoint,
     MCDVFS_ASSERT(checkpoint.regions.fedSamples() == checkpoint.samples,
                   "checkpoint region state out of sync");
 
-    checkpoint.optimal.reserve(new_total);
-    checkpoint.masks.reserve(new_total);
-    for (std::size_t s = checkpoint.samples; s < new_total; ++s) {
-        OptimalChoice choice;
-        SettingMask mask;
+    const std::size_t first = checkpoint.samples;
+    checkpoint.optimal.resize(new_total);
+    checkpoint.masks.resize(new_total);
+    auto fill = [&](std::size_t s) {
         clusters.fillSample(s, checkpoint.budget, checkpoint.threshold,
-                            choice, mask);
-        checkpoint.regions.feed(space, mask);
-        checkpoint.optimal.push_back(choice);
-        checkpoint.masks.push_back(mask);
+                            checkpoint.optimal[s], checkpoint.masks[s]);
+    };
+    if (pool != nullptr) {
+        // ClusterFinder::table()'s grain; each sample writes only its
+        // own slots, so any worker count gives the serial bits.
+        const std::size_t grain = std::max<std::size_t>(
+            1, (new_total - first) / (4 * (pool->size() + 1)));
+        pool->parallelFor(first, new_total, fill, grain);
+    } else {
+        for (std::size_t s = first; s < new_total; ++s)
+            fill(s);
     }
+    for (std::size_t s = first; s < new_total; ++s)
+        checkpoint.regions.feed(space, checkpoint.masks[s]);
     checkpoint.samples = new_total;
 }
 
@@ -43,21 +54,6 @@ IncrementalAnalyzer::build(const ClusterFinder &clusters, double budget,
     checkpoint.budget = budget;
     checkpoint.threshold = threshold;
     extend(checkpoint, clusters, samples);
-    return checkpoint;
-}
-
-AnalysisCheckpoint
-IncrementalAnalyzer::fromTable(const SettingsSpace &space,
-                               const ClusterTable &table)
-{
-    AnalysisCheckpoint checkpoint;
-    checkpoint.budget = table.budget;
-    checkpoint.threshold = table.threshold;
-    checkpoint.samples = table.sampleCount();
-    checkpoint.optimal = table.optimal;
-    checkpoint.masks = table.masks;
-    for (const SettingMask &mask : checkpoint.masks)
-        checkpoint.regions.feed(space, mask);
     return checkpoint;
 }
 

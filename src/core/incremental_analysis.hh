@@ -11,12 +11,11 @@
  * continue.  An AnalysisCheckpoint captures exactly that state for one
  * (budget, threshold); IncrementalAnalyzer::extend() advances it over
  * the appended samples in O(new samples x settings), never touching
- * history.
- *
- * Both the from-scratch and the resumed paths run the same
- * ClusterFinder fill kernel and the same StableRegionBuilder feed, so
- * append == recompute bit for bit (pinned by golden tests against
- * core/reference_analysis).
+ * history.  A full analysis is an extend() from an empty checkpoint,
+ * so the from-scratch and the resumed paths are one code path: the
+ * same ClusterFinder fill kernel and the same StableRegionBuilder
+ * feed, hence append == recompute bit for bit (pinned by golden tests
+ * against core/reference_analysis).
  */
 
 #ifndef MCDVFS_CORE_INCREMENTAL_ANALYSIS_HH
@@ -59,12 +58,16 @@ class IncrementalAnalyzer
      * @c new_total samples of @c clusters ' grid.  @c clusters may be
      * a tail-range finder (ClusterFinder range constructor) as long as
      * its tables cover [checkpoint.samples, new_total) — this is what
-     * keeps the division hoisting O(new samples) too.  No-op when
-     * new_total equals the checkpoint's prefix.
+     * keeps the division hoisting O(new samples) too.  The fill fans
+     * over @c pool (nullptr = serial) as ClusterFinder::table() does,
+     * then the new masks feed the region builder in sample order: the
+     * bits never depend on the worker count.  No-op when new_total
+     * equals the checkpoint's prefix.
      */
     static void extend(AnalysisCheckpoint &checkpoint,
                        const ClusterFinder &clusters,
-                       std::size_t new_total);
+                       std::size_t new_total,
+                       exec::ThreadPool *pool = nullptr);
 
     /**
      * Fresh checkpoint covering the first @c samples samples — an
@@ -73,13 +76,6 @@ class IncrementalAnalyzer
     static AnalysisCheckpoint build(const ClusterFinder &clusters,
                                     double budget, double threshold,
                                     std::size_t samples);
-
-    /**
-     * Checkpoint equivalent to an already-computed cluster table
-     * (reuses a pooled table() fill instead of refilling serially).
-     */
-    static AnalysisCheckpoint fromTable(const SettingsSpace &space,
-                                        const ClusterTable &table);
 
     /** Vector-form cluster of one checkpointed sample. */
     static PerformanceCluster materializeCluster(

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "core/reference_analysis.hh"
 #include "exec/thread_pool.hh"
 
 namespace mcdvfs
@@ -44,8 +43,6 @@ ClusterFinder::ClusterFinder(const OptimalSettingsFinder &finder,
     const InefficiencyAnalysis &analysis = finder_.analysis();
     const MeasuredGrid &grid = analysis.grid();
     const std::size_t settings = grid.settingCount();
-    if (!SettingMask::supports(settings))
-        return;
 
     // Hoist every division out of the query path: each cell's speedup
     // and inefficiency mirror InefficiencyAnalysis::sampleSpeedup /
@@ -104,8 +101,6 @@ ClusterFinder::fillBudget(std::size_t sample, double budget,
 
     const MeasuredGrid &grid = finder_.analysis().grid();
     const std::size_t settings = grid.settingCount();
-    MCDVFS_ASSERT(SettingMask::supports(settings),
-                  "settings space exceeds SettingMask capacity");
     MCDVFS_ASSERT(sample < grid.sampleCount(), "sample out of range");
 
     const double *speedups = speedupRow(sample);
@@ -255,12 +250,6 @@ PerformanceCluster
 ClusterFinder::clusterForSample(std::size_t sample, double budget,
                                 double threshold) const
 {
-    const std::size_t settings =
-        finder_.analysis().grid().settingCount();
-    if (!SettingMask::supports(settings))
-        return referenceClusterForSample(finder_, sample, budget,
-                                         threshold);
-
     OptimalChoice optimal;
     SettingMask mask;
     fillSample(sample, budget, threshold, optimal, mask);
@@ -314,11 +303,6 @@ std::vector<PerformanceCluster>
 ClusterFinder::clusters(double budget, double threshold,
                         exec::ThreadPool *pool) const
 {
-    const std::size_t settings =
-        finder_.analysis().grid().settingCount();
-    if (!SettingMask::supports(settings))
-        return referenceClusters(finder_, budget, threshold);
-
     const ClusterTable tbl = table(budget, threshold, pool);
     std::vector<PerformanceCluster> out;
     out.reserve(tbl.sampleCount());

@@ -18,9 +18,8 @@
  * SettingMask), the §V argmin/tie-break picks the optimum from the
  * speedup row, and one compare per feasible setting fills the cluster
  * mask — no divisions, no intermediate index vectors.  The
- * pre-bitset scalar algorithm survives as
- * core/reference_analysis.hh; golden tests keep the two bit-identical,
- * and spaces beyond SettingMask::kCapacity fall back to it.
+ * pre-bitset scalar algorithm survives as core/reference_analysis.hh,
+ * a test oracle: golden tests keep the two bit-identical.
  */
 
 #ifndef MCDVFS_CORE_PERFORMANCE_CLUSTERS_HH
@@ -178,8 +177,7 @@ class ClusterFinder
     /**
      * Per-cell speedup and inefficiency, sample-major from
      * tableFirst_, hoisted at construction so queries are
-     * division-free.  Left empty when the space exceeds SettingMask
-     * capacity (the reference path serves those spaces).
+     * division-free.
      */
     std::vector<double> speedups_;
     std::vector<double> inefficiencies_;

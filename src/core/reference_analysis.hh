@@ -12,8 +12,8 @@
  * two paths; any change to the bitset kernels must keep them in
  * lockstep or the tier-1 suite fails.
  *
- * The reference path is also the fallback for settings spaces larger
- * than SettingMask::kCapacity.
+ * Nothing in the library calls these: they are the oracle of the
+ * golden tests and of bench/micro_analysis_kernel only.
  */
 
 #ifndef MCDVFS_CORE_REFERENCE_ANALYSIS_HH

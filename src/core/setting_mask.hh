@@ -21,10 +21,10 @@
  * (core_simd_golden_test pins this).  Larger spaces (a 3-domain
  * CPU x mem x GPU cross product) spill to a heap word vector sized to
  * the space, rounded up to a whole number of 256-bit registers so the
- * AVX2 kernels never need a scalar tail.  supports() now only excludes
- * absurd sizes (kMaxCapacity); callers handling arbitrary spaces still
- * check it and fall back to the scalar reference path
- * (core/reference_analysis.hh) beyond it.
+ * AVX2 kernels never need a scalar tail.  The largest tier holds
+ * kMaxCapacity bits, the SettingsSpace::kMaxSettings bound every space
+ * is checked against when it is built, so a mask over any space's
+ * settings always fits.
  */
 
 #ifndef MCDVFS_CORE_SETTING_MASK_HH
@@ -39,6 +39,7 @@
 
 #include "common/logging.hh"
 #include "common/simd.hh"
+#include "dvfs/settings_space.hh"
 
 namespace mcdvfs
 {
@@ -52,7 +53,8 @@ class SettingMask
     /** Inline 64-bit words backing the bits of the inline tier. */
     static constexpr std::size_t kWords = kCapacity / 64;
     /** Largest representable settings space across both tiers. */
-    static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
+    static constexpr std::size_t kMaxCapacity =
+        SettingsSpace::kMaxSettings;
     /** firstSet() result when no bit is set. */
     static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
@@ -73,13 +75,6 @@ class SettingMask
         }
         if (size > kCapacity)
             heap_.assign(heapWords(size), 0);
-    }
-
-    /** True when a @c settings -sized space fits in the mask. */
-    static bool
-    supports(std::size_t settings)
-    {
-        return settings <= kMaxCapacity;
     }
 
     /** Number of settings in the space (bit positions in use). */

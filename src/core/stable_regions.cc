@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "core/reference_analysis.hh"
 
 namespace mcdvfs
 {
@@ -90,13 +89,6 @@ std::vector<StableRegion>
 StableRegionFinder::find(double budget, double threshold,
                          exec::ThreadPool *pool) const
 {
-    const std::size_t settings =
-        clusters_.finder().analysis().grid().settingCount();
-    if (!SettingMask::supports(settings)) {
-        return referenceStableRegions(
-            clusters_.finder().analysis().grid().space(),
-            referenceClusters(clusters_.finder(), budget, threshold));
-    }
     return fromTable(clusters_.table(budget, threshold, pool));
 }
 
@@ -122,8 +114,6 @@ StableRegionFinder::fromClusters(
     MCDVFS_ASSERT(!clusters.empty(), "no clusters to regionize");
     const SettingsSpace &space =
         clusters_.finder().analysis().grid().space();
-    if (!SettingMask::supports(space.size()))
-        return referenceStableRegions(space, clusters);
 
     ClusterTable table;
     table.optimal.reserve(clusters.size());

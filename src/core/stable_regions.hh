@@ -13,10 +13,9 @@
  *
  * The growth step operates on SettingMask bitsets: each intersection
  * is a handful of word-wise ANDs and the emptiness test a word-wise
- * OR, replacing the per-sample sorted-vector set_intersection the
- * scalar reference path (core/reference_analysis.hh) still performs.
- * Golden tests keep both paths bit-identical; spaces beyond
- * SettingMask::kCapacity fall back to the reference.
+ * OR, replacing the per-sample sorted-vector set_intersection of the
+ * scalar test oracle (core/reference_analysis.hh).  Golden tests keep
+ * the two bit-identical.
  */
 
 #ifndef MCDVFS_CORE_STABLE_REGIONS_HH
@@ -103,8 +102,7 @@ class StableRegionFinder
 
     /**
      * Build regions from vector-form clusters (compatibility API;
-     * converts to masks when the space fits, otherwise falls back to
-     * the scalar reference path).
+     * converts them to masks and runs fromTable()).
      */
     std::vector<StableRegion> fromClusters(
         const std::vector<PerformanceCluster> &clusters) const;

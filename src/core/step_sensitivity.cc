@@ -1,6 +1,5 @@
 #include "core/step_sensitivity.hh"
 
-#include "core/reference_analysis.hh"
 #include "sim/sample_simulator.hh"
 
 namespace mcdvfs
@@ -24,9 +23,6 @@ SpaceCharacterization
 StepSensitivity::characterizeSpace(const MeasuredGrid &grid, double budget,
                                    double threshold, exec::ThreadPool *pool)
 {
-    if (!SettingMask::supports(grid.settingCount()))
-        return referenceCharacterizeSpace(grid, budget, threshold);
-
     InefficiencyAnalysis analysis(grid);
     OptimalSettingsFinder finder(analysis);
     ClusterFinder clusters(finder);

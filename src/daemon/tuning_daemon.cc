@@ -25,8 +25,6 @@ struct DaemonMetrics
     obs::Counter submitted;
     obs::Counter admitted;
     obs::Counter shed;
-    obs::Counter shedQueueFull;
-    obs::Counter shedDraining;
     /** Labeled views of `shed` (reasons sum to the total). */
     obs::Counter shedReasonQueueFull;
     obs::Counter shedReasonDraining;
@@ -47,8 +45,6 @@ struct DaemonMetrics
         submitted = reg.counter("daemon.submitted");
         admitted = reg.counter("daemon.admitted");
         shed = reg.counter("daemon.shed");
-        shedQueueFull = reg.counter("daemon.shed_queue_full");
-        shedDraining = reg.counter("daemon.shed_draining");
         shedReasonQueueFull =
             reg.counter("daemon.shed", {{"reason", "queue_full"}});
         shedReasonDraining =
@@ -191,12 +187,10 @@ TuningDaemon::submit(const svc::TuningRequest &request)
         daemonMetrics().shed.add(1);
         if (reason == ShedReason::Draining) {
             shedDraining_.fetch_add(1, std::memory_order_relaxed);
-            daemonMetrics().shedDraining.add(1);
             daemonMetrics().shedReasonDraining.add(1);
             obs::traceInstant("daemon.shed_draining", request_id);
         } else {
             shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-            daemonMetrics().shedQueueFull.add(1);
             daemonMetrics().shedReasonQueueFull.add(1);
             obs::traceInstant("daemon.shed_queue_full", request_id);
         }

@@ -15,14 +15,15 @@
  *  - Admission control: the submit queue is bounded; once its depth
  *    reaches the shed watermark, new requests are rejected immediately
  *    with a reason (the future still resolves — callers never hang),
- *    counted in daemon.shed_*.  A saturated daemon degrades by
+ *    counted in daemon.shed{reason}.  A saturated daemon degrades by
  *    shedding load, not by growing an unbounded backlog.
  *  - Batching/coalescing: a dedicated batcher thread drains up to
  *    maxBatch requests at a time and groups them by grid fingerprint
  *    (workload, space, config); each group characterizes its grid once
  *    and fans the per-request analyses from it.  Groups run as
  *    independent pool tasks, so distinct grids characterize
- *    concurrently.
+ *    concurrently.  This is the library's one batch loop: the service
+ *    underneath answers one request at a time.
  *  - Persistence: with a SnapshotStore attached, every fresh grid
  *    build and fresh analysis is written through to the store (best
  *    effort: a failed write is counted and the request still

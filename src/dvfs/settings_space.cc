@@ -38,6 +38,7 @@ SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem)
     : cpu_(std::move(cpu)), mem_(std::move(mem)),
       fingerprint_(computeFingerprint())
 {
+    checkSize();
 }
 
 SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem,
@@ -45,6 +46,22 @@ SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem,
     : cpu_(std::move(cpu)), mem_(std::move(mem)), gpu_(std::move(gpu)),
       fingerprint_(computeFingerprint())
 {
+    checkSize();
+}
+
+void
+SettingsSpace::checkSize() const
+{
+    // Ladders are never empty, so one ladder past the bound puts the
+    // space past it too; checking each first keeps size() from
+    // overflowing.
+    const std::size_t gpu_steps = gpu_ ? gpu_->size() : 1;
+    if (cpu_.size() > kMaxSettings || mem_.size() > kMaxSettings ||
+        gpu_steps > kMaxSettings || size() > kMaxSettings) {
+        fatal("settings space of ", cpu_.size(), " x ", mem_.size(),
+              " x ", gpu_steps, " settings exceeds the limit of ",
+              kMaxSettings);
+    }
 }
 
 std::uint64_t

@@ -12,6 +12,9 @@
  * exactly as before (same indices, same labels, gpu pinned to 0), and
  * a third ladder extends the cross product with the GPU frequency as
  * the fastest-varying index digit.
+ *
+ * Construction rejects spaces over kMaxSettings, the SettingMask
+ * capacity, so the analyses never need to check a space's size.
  */
 
 #ifndef MCDVFS_DVFS_SETTINGS_SPACE_HH
@@ -59,6 +62,12 @@ bool settingPreferred(const FrequencySetting &a, const FrequencySetting &b);
 class SettingsSpace
 {
   public:
+    /**
+     * Largest cross product (2^20 settings); both constructors throw
+     * FatalError beyond it.
+     */
+    static constexpr std::size_t kMaxSettings = std::size_t{1} << 20;
+
     SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem);
 
     /** Three-domain space: CPU x memory x GPU. */
@@ -119,6 +128,9 @@ class SettingsSpace
     std::uint64_t fingerprint() const { return fingerprint_; }
 
   private:
+    /** @throws FatalError beyond kMaxSettings */
+    void checkSize() const;
+
     /** The fingerprint() of the ladders this space was built from. */
     std::uint64_t computeFingerprint() const;
 

@@ -6,8 +6,8 @@
  *
  * The metrics layer (obs/metrics.hh) answers "how much" questions;
  * this layer answers "when" questions: where wall-time goes inside a
- * concurrent submitBatch, which grid build a worker was running at a
- * given instant, when a governor decided to re-tune.  The span and
+ * daemon batch, which grid build a worker was running at a given
+ * instant, when a governor decided to re-tune.  The span and
  * instant catalog lives in docs/OBSERVABILITY.md.
  *
  * Design:

@@ -21,7 +21,6 @@ namespace
 struct ServiceMetrics
 {
     obs::Counter requests;
-    obs::Counter batches;
     obs::Counter gridBuilds;
     obs::Counter coalescedWaits;
     obs::Counter analyzeNs;
@@ -34,7 +33,6 @@ struct ServiceMetrics
         obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
         const auto latency = obs::MetricsRegistry::latencyBucketsNs();
         requests = reg.counter("svc.service.requests");
-        batches = reg.counter("svc.service.batches");
         gridBuilds = reg.counter("svc.service.grid_builds");
         coalescedWaits = reg.counter("svc.service.coalesced_waits");
         analyzeNs = reg.counter("svc.service.analyze_ns");
@@ -206,81 +204,54 @@ CharacterizationService::analyze(const TuningRequest &request,
     std::shared_ptr<const AnalysisResult> cached =
         analysisCache_.find(key);
     if (cached == nullptr) {
+        const std::size_t samples = grid->sampleCount();
+
+        // Streaming resume: probe the checkpoint store for the longest
+        // analyzed content prefix of this grid.  A grown workload
+        // misses the result cache (its full fingerprint changed) but
+        // shares every prefix digest with its past.
+        std::vector<AnalysisKey> prefix_keys;
+        std::shared_ptr<const AnalysisCheckpoint> resumed;
+        if (checkpoints_ != nullptr) {
+            prefix_keys.reserve(samples);
+            for (std::size_t len = samples; len >= 1; --len)
+                prefix_keys.push_back(AnalysisKey{
+                    grid->prefixDigest(len), request.budget,
+                    request.threshold});
+            resumed = checkpoints_->find(prefix_keys);
+        }
+
+        // One path: extend a copy of the resumed checkpoint, or an
+        // empty one, over the samples it lacks with a tail-range
+        // finder, the fill fanned over the pool (parallelFor is
+        // nest-safe, so this is fine from a daemon group task).
+        auto checkpoint = std::make_shared<AnalysisCheckpoint>();
+        if (resumed != nullptr) {
+            obs::traceInstant("svc.analysis_resumed");
+            *checkpoint = *resumed;
+            result.analysisResumed = true;
+            result.resumedFromSamples = resumed->samples;
+        } else {
+            checkpoint->budget = request.budget;
+            checkpoint->threshold = request.threshold;
+        }
         InefficiencyAnalysis analysis(*grid);
         OptimalSettingsFinder finder(analysis);
+        ClusterFinder cluster_finder(finder, checkpoint->samples);
+        IncrementalAnalyzer::extend(*checkpoint, cluster_finder, samples,
+                                    &pool_);
 
         auto fresh = std::make_shared<AnalysisResult>();
-        if (SettingMask::supports(grid->settingCount())) {
-            const std::size_t samples = grid->sampleCount();
-
-            // Streaming resume: probe the checkpoint store for the
-            // longest analyzed content prefix of this grid.  A grown
-            // workload misses the result cache (its full fingerprint
-            // changed) but shares every prefix digest with its past.
-            std::vector<AnalysisKey> prefix_keys;
-            std::shared_ptr<const AnalysisCheckpoint> resumed;
-            if (checkpoints_ != nullptr) {
-                prefix_keys.reserve(samples);
-                for (std::size_t len = samples; len >= 1; --len)
-                    prefix_keys.push_back(
-                        AnalysisKey{grid->prefixDigest(len),
-                                    request.budget, request.threshold});
-                resumed = checkpoints_->find(prefix_keys);
-            }
-
-            if (resumed != nullptr) {
-                // Clone the checkpoint and analyze only the tail:
-                // the range ClusterFinder fills [resumed, samples),
-                // extend() feeds the same fill kernel and region
-                // builder the from-scratch path runs, so the result
-                // is bit-identical to a full recompute.
-                obs::traceInstant("svc.analysis_resumed");
-                auto cp =
-                    std::make_shared<AnalysisCheckpoint>(*resumed);
-                ClusterFinder cluster_finder(finder, cp->samples);
-                IncrementalAnalyzer::extend(*cp, cluster_finder,
-                                            samples);
-                fresh->optimal = cp->optimal;
-                fresh->clusters.reserve(samples);
-                for (std::size_t s = 0; s < samples; ++s)
-                    fresh->clusters.push_back(
-                        IncrementalAnalyzer::materializeCluster(
-                            cp->optimal[s], cp->masks[s]));
-                fresh->regions = cp->regions.regions(grid->space());
-                result.analysisResumed = true;
-                result.resumedFromSamples = resumed->samples;
-                checkpoints_->insert(prefix_keys.front(), std::move(cp));
-            } else {
-                // One mask-table pass feeds all three outputs, with
-                // the per-sample kernel fanned over the pool
-                // (bit-identical to the serial scalar chain;
-                // parallelFor is nest-safe, so this is fine from a
-                // batch worker too).
-                ClusterFinder cluster_finder(finder);
-                StableRegionFinder region_finder(cluster_finder);
-                const ClusterTable table = cluster_finder.table(
-                    request.budget, request.threshold, &pool_);
-                fresh->optimal = table.optimal;
-                fresh->clusters.reserve(table.sampleCount());
-                for (std::size_t s = 0; s < table.sampleCount(); ++s)
-                    fresh->clusters.push_back(table.materialize(s));
-                fresh->regions = region_finder.fromTable(table);
-                if (checkpoints_ != nullptr)
-                    checkpoints_->insert(
-                        prefix_keys.front(),
-                        std::make_shared<AnalysisCheckpoint>(
-                            IncrementalAnalyzer::fromTable(
-                                grid->space(), table)));
-            }
-        } else {
-            ClusterFinder cluster_finder(finder);
-            StableRegionFinder region_finder(cluster_finder);
-            fresh->optimal = finder.optimalTrajectory(request.budget);
-            fresh->clusters = cluster_finder.clusters(request.budget,
-                                                      request.threshold);
-            fresh->regions =
-                region_finder.fromClusters(fresh->clusters);
-        }
+        fresh->optimal = checkpoint->optimal;
+        fresh->clusters.reserve(samples);
+        for (std::size_t s = 0; s < samples; ++s)
+            fresh->clusters.push_back(
+                IncrementalAnalyzer::materializeCluster(
+                    checkpoint->optimal[s], checkpoint->masks[s]));
+        fresh->regions = checkpoint->regions.regions(grid->space());
+        if (checkpoints_ != nullptr)
+            checkpoints_->insert(prefix_keys.front(),
+                                 std::move(checkpoint));
         analysisCache_.insert(key, fresh);
         cached = std::move(fresh);
     } else {
@@ -312,59 +283,6 @@ CharacterizationService::submit(const TuningRequest &request)
     const GridKey key = keyFor(request.workload, request.space);
     auto grid = gridFor(key, request.workload, request.space, cache_hit);
     return analyze(request, key.combined(), std::move(grid), cache_hit);
-}
-
-std::vector<TuningResult>
-CharacterizationService::submitBatch(
-    const std::vector<TuningRequest> &requests)
-{
-    std::vector<TuningResult> results(requests.size());
-    obs::TraceSpan batch_span("svc.submit_batch", requests.size());
-    serviceMetrics().batches.add(1);
-    serviceMetrics().requests.add(requests.size());
-    for (const TuningRequest &request : requests) {
-        obs::MetricsRegistry::global()
-            .counter("svc.service.requests",
-                     {{"wl", request.workload.name()}})
-            .add(1);
-    }
-    const obs::Clock::time_point batch_start = obs::metricsNow();
-
-    // Group requests sharing a grid so each distinct characterization
-    // runs exactly once, then fan the groups out across the pool.
-    std::unordered_map<GridKey, std::vector<std::size_t>,
-                       exec::DigestHash>
-        groups;
-    for (std::size_t i = 0; i < requests.size(); ++i)
-        groups[keyFor(requests[i].workload, requests[i].space)]
-            .push_back(i);
-
-    std::vector<std::future<void>> pending;
-    pending.reserve(groups.size());
-    for (const auto &group : groups) {
-        pending.push_back(pool_.submit([this, &requests, &results,
-                                        &group, batch_start] {
-            const GridKey &key = group.first;
-            const std::vector<std::size_t> &members = group.second;
-            bool cache_hit = false;
-            auto grid = gridFor(key, requests[members.front()].workload,
-                                requests[members.front()].space,
-                                cache_hit);
-            const std::uint64_t grid_digest = key.combined();
-            for (std::size_t j = 0; j < members.size(); ++j) {
-                const std::size_t i = members[j];
-                // Later members of the group reuse the first build.
-                results[i] = analyze(requests[i], grid_digest, grid,
-                                     j == 0 ? cache_hit : true);
-                // Submit-to-complete latency of each batch member.
-                serviceMetrics().submitNs.record(
-                    obs::elapsedNs(batch_start));
-            }
-        }));
-    }
-    for (auto &future : pending)
-        future.get();
-    return results;
 }
 
 } // namespace svc

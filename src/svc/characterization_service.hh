@@ -1,6 +1,6 @@
 /**
  * @file
- * Batched characterization + tuning front end.
+ * Characterization + tuning front end.
  *
  * CharacterizationService is the serving layer over the whole library:
  * one object owning a thread pool and a grid cache, answering tuning
@@ -9,7 +9,7 @@
  * budget?" — without the caller touching GridRunner or the analysis
  * chain.
  *
- * Four mechanisms make repeated and concurrent traffic cheap:
+ * Five mechanisms make repeated and concurrent traffic cheap:
  *  - the per-setting model evaluation of a grid build fans out over
  *    the pool (bit-identical to the serial build, see GridRunner);
  *  - finished grids land in a sharded LRU cache keyed by content
@@ -21,12 +21,14 @@
  *  - finished analyses land in a second sharded LRU cache keyed by
  *    (grid fingerprint, budget, threshold), so repeated tuning
  *    requests skip the §V/§VI analysis chain as well;
- *  - streaming workloads resume: when the result cache misses, the
- *    service probes its checkpoint store for the longest
- *    already-analyzed *content prefix* of the grid
- *    (MeasuredGrid::prefixDigest) and extends it over just the new
- *    samples (core/incremental_analysis.hh), bit-identical to a full
- *    recompute.
+ *  - streaming workloads resume: every result-cache miss is one
+ *    pooled IncrementalAnalyzer::extend (core/incremental_analysis.hh)
+ *    from the longest already-analyzed *content prefix* of the grid in
+ *    the checkpoint store (MeasuredGrid::prefixDigest), or from an
+ *    empty checkpoint, bit-identical to a full recompute.
+ *
+ * The service answers one request per call; daemon::TuningDaemon is
+ * the batch loop that groups requests by GridKey.
  */
 
 #ifndef MCDVFS_SVC_CHARACTERIZATION_SERVICE_HH
@@ -51,7 +53,7 @@ namespace mcdvfs
 namespace svc
 {
 
-/** One batched tuning request. */
+/** One tuning request. */
 struct TuningRequest
 {
     WorkloadProfile workload;
@@ -138,8 +140,8 @@ struct TuningResult
     double threshold = 0.0;
     /**
      * True when the grid came from the cache or was coalesced with an
-     * identical build (in the batch or already in flight) instead of
-     * being characterized for this request.
+     * identical build (in a daemon batch group or already in flight)
+     * instead of being characterized for this request.
      */
     bool cacheHit = false;
     /**
@@ -161,7 +163,7 @@ struct TuningResult
 struct ServiceOptions
 {
     /**
-     * Worker threads for grid builds and batch fan-out; 1 keeps
+     * Worker threads for grid builds and analysis fills; 1 keeps
      * everything on the calling thread (still correct, see
      * ThreadPool), 0 is promoted to 1.
      */
@@ -253,15 +255,6 @@ class CharacterizationService
                        std::shared_ptr<const AnalysisResult> result);
     ///@}
 
-    /**
-     * Answer a batch: requests with distinct grids characterize
-     * concurrently across the pool; requests sharing a grid (same
-     * workload, space and config — budgets/thresholds may differ)
-     * characterize it once.  Results are in request order.
-     */
-    std::vector<TuningResult> submitBatch(
-        const std::vector<TuningRequest> &requests);
-
     GridCache::Stats cacheStats() const { return cache_.stats(); }
     AnalysisCache::Stats analysisStats() const
     {
@@ -292,7 +285,7 @@ class CharacterizationService
     const SystemConfig &config() const { return config_; }
     std::size_t jobs() const { return pool_.size(); }
 
-    /** The pool grid builds and batches fan out over. */
+    /** The pool grid builds, analysis fills and daemon groups use. */
     exec::ThreadPool &pool() { return pool_; }
 
   private:

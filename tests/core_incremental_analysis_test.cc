@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "core/incremental_analysis.hh"
+#include "exec/thread_pool.hh"
 #include "svc/characterization_service.hh"
 #include "test_grid.hh"
 
@@ -126,25 +127,35 @@ TEST(IncrementalAnalysis, ExtendToCurrentLengthIsANoOp)
 
 TEST(IncrementalAnalysis, FromTableMatchesBuild)
 {
+    // The table() pass, a pooled extend() from an empty checkpoint
+    // (the service's analysis path) and a serial build() must agree
+    // bit for bit.
     const MeasuredGrid &grid = test::phasedGrid();
     const SettingsSpace space = SettingsSpace::coarse();
     InefficiencyAnalysis analysis(grid);
     OptimalSettingsFinder finder(analysis);
     ClusterFinder clusters(finder);
+    exec::ThreadPool pool(3);
 
-    const ClusterTable table = clusters.table(1.3, 0.03);
-    const AnalysisCheckpoint from_table =
-        IncrementalAnalyzer::fromTable(space, table);
+    const ClusterTable table = clusters.table(1.3, 0.03, &pool);
+    AnalysisCheckpoint pooled;
+    pooled.budget = 1.3;
+    pooled.threshold = 0.03;
+    IncrementalAnalyzer::extend(pooled, clusters, grid.sampleCount(),
+                                &pool);
     const AnalysisCheckpoint built = IncrementalAnalyzer::build(
         clusters, 1.3, 0.03, grid.sampleCount());
-    expectCheckpointsIdentical(built, from_table, space);
+    expectCheckpointsIdentical(built, pooled, space);
+    ASSERT_EQ(table.masks, pooled.masks);
+    expectRegionsIdentical(StableRegionFinder(clusters).fromTable(table),
+                           pooled.regions.regions(space));
 
     // materializeCluster must agree with the table's own vector form.
     for (std::size_t s = 0; s < table.sampleCount(); ++s) {
         const PerformanceCluster a = table.materialize(s);
         const PerformanceCluster b =
-            IncrementalAnalyzer::materializeCluster(
-                from_table.optimal[s], from_table.masks[s]);
+            IncrementalAnalyzer::materializeCluster(pooled.optimal[s],
+                                                    pooled.masks[s]);
         expectChoicesIdentical(a.optimal, b.optimal);
         ASSERT_EQ(a.settings, b.settings);
     }

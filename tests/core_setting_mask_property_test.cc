@@ -254,8 +254,6 @@ TEST(SettingMaskProperty, TierBoundaryConstruction)
     EXPECT_EQ(SettingMask(512).wordCount(), SettingMask::kWords);
     EXPECT_EQ(SettingMask(513).wordCount(), 12u);
     EXPECT_EQ(SettingMask(1500).wordCount(), 24u);
-    EXPECT_TRUE(SettingMask::supports(SettingMask::kMaxCapacity));
-    EXPECT_FALSE(SettingMask::supports(SettingMask::kMaxCapacity + 1));
     EXPECT_THROW(SettingMask(SettingMask::kMaxCapacity + 1), FatalError);
 }
 

@@ -126,14 +126,27 @@ TEST(SettingMask, FilterKeepsSetBitsAtOrAboveCutoff)
 
 TEST(SettingMask, CapacityContract)
 {
-    EXPECT_TRUE(SettingMask::supports(0));
-    EXPECT_TRUE(SettingMask::supports(496));
-    EXPECT_TRUE(SettingMask::supports(SettingMask::kCapacity));
-    // The heap tier carries spaces past the inline capacity up to the
-    // (generous) hard cap.
-    EXPECT_TRUE(SettingMask::supports(SettingMask::kCapacity + 1));
-    EXPECT_TRUE(SettingMask::supports(SettingMask::kMaxCapacity));
-    EXPECT_FALSE(SettingMask::supports(SettingMask::kMaxCapacity + 1));
+    // The mask's hard cap is the SettingsSpace bound, so a mask over
+    // any space that builds fits.  The heap tier carries spaces past
+    // the inline capacity up to that (generous) cap; larger spaces are
+    // rejected where they are built.
+    EXPECT_EQ(SettingMask::kMaxCapacity, SettingsSpace::kMaxSettings);
+    const auto ladder = [](std::size_t steps) {
+        return FrequencyLadder(megaHertz(1),
+                               megaHertz(static_cast<double>(steps)),
+                               megaHertz(1));
+    };
+    EXPECT_EQ(SettingsSpace::fine().size(), 496u);
+    EXPECT_EQ(SettingsSpace(ladder(SettingMask::kCapacity), ladder(1))
+                  .size(),
+              SettingMask::kCapacity);
+    EXPECT_EQ(SettingsSpace(ladder(SettingMask::kCapacity + 1), ladder(1))
+                  .size(),
+              SettingMask::kCapacity + 1);
+    EXPECT_EQ(SettingsSpace(ladder(1024), ladder(1024)).size(),
+              SettingMask::kMaxCapacity);
+    EXPECT_THROW(SettingsSpace(ladder(1024), ladder(1024), ladder(2)),
+                 FatalError);
     EXPECT_THROW(SettingMask(SettingMask::kMaxCapacity + 1), FatalError);
 }
 

@@ -85,6 +85,32 @@ TEST(FrequencySetting, PreferenceOrderingMemSecond)
     EXPECT_FALSE(settingPreferred(a, a));  // strict ordering
 }
 
+/** A ladder of @c steps 1 MHz steps from 1 MHz. */
+FrequencyLadder
+ladderOf(std::size_t steps)
+{
+    return FrequencyLadder(megaHertz(1),
+                           megaHertz(static_cast<double>(steps)),
+                           megaHertz(1));
+}
+
+TEST(SettingsSpace, RejectsSpacesOverTheBound)
+{
+    // 2^20 settings is the largest space: it builds, one more CPU step
+    // (or a third domain on top of it) is rejected where it is built.
+    ASSERT_EQ(SettingsSpace::kMaxSettings, std::size_t{1} << 20);
+    EXPECT_EQ(SettingsSpace(ladderOf(1024), ladderOf(1024)).size(),
+              SettingsSpace::kMaxSettings);
+    EXPECT_THROW(SettingsSpace(ladderOf(1025), ladderOf(1024)),
+                 FatalError);
+    EXPECT_THROW(
+        SettingsSpace(ladderOf(1024), ladderOf(1024), ladderOf(2)),
+        FatalError);
+    EXPECT_EQ(
+        SettingsSpace(ladderOf(512), ladderOf(1024), ladderOf(2)).size(),
+        SettingsSpace::kMaxSettings);
+}
+
 /** Property: at() is CPU-major and consistent with the ladders. */
 TEST(SettingsSpace, CpuMajorLayout)
 {

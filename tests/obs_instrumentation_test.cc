@@ -158,7 +158,6 @@ TEST(ObsInstrumentation, ServiceRequestBatchAndBuildCounters)
 {
     REQUIRE_METRICS_ON();
     const std::uint64_t requests0 = counterValue("svc.service.requests");
-    const std::uint64_t batches0 = counterValue("svc.service.batches");
     const std::uint64_t builds0 =
         counterValue("svc.service.grid_builds");
     const std::uint64_t hits0 = counterValue("svc.cache.hits");
@@ -171,12 +170,12 @@ TEST(ObsInstrumentation, ServiceRequestBatchAndBuildCounters)
                                      SettingsSpace::coarse(), 1.3, 0.03};
     service.submit(request);
     service.submit(request);  // same fingerprint: cache hit
-    service.submitBatch({request, request});
+    service.submit(request);
+    service.submit(request);
 
     EXPECT_EQ(counterValue("svc.service.requests"), requests0 + 4);
-    EXPECT_EQ(counterValue("svc.service.batches"), batches0 + 1);
     EXPECT_EQ(counterValue("svc.service.grid_builds"), builds0 + 1);
-    EXPECT_EQ(counterValue("svc.cache.hits"), hits0 + 2);
+    EXPECT_EQ(counterValue("svc.cache.hits"), hits0 + 3);
     EXPECT_EQ(histogramCount("svc.service.submit_ns"), submits0 + 4);
     EXPECT_EQ(histogramCount("svc.service.build_ns"), buildNs0 + 1);
     EXPECT_EQ(gaugeValue("svc.service.inflight_builds"), 0);
@@ -385,8 +384,9 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
     const std::uint64_t admitted0 = counterValue("daemon.admitted");
     const std::uint64_t completed0 = counterValue("daemon.completed");
     const std::uint64_t batches0 = counterValue("daemon.batches");
-    const std::uint64_t drainShed0 =
-        counterValue("daemon.shed_draining");
+    obs::Counter drain_shed = obs::MetricsRegistry::global().counter(
+        "daemon.shed", {{"reason", "draining"}});
+    const std::uint64_t drainShed0 = drain_shed.value();
     const std::uint64_t queueWaits0 =
         histogramCount("daemon.queue_wait_ns");
     const std::uint64_t gridStages0 =
@@ -431,7 +431,7 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
 
     EXPECT_EQ(counterValue("daemon.admitted"), admitted0 + 2);
     EXPECT_EQ(counterValue("daemon.completed"), completed0 + 2);
-    EXPECT_EQ(counterValue("daemon.shed_draining"), drainShed0 + 1);
+    EXPECT_EQ(drain_shed.value(), drainShed0 + 1);
     // The two identical requests land in one or two batches/groups
     // depending on batcher timing; either way both complete.
     EXPECT_GE(counterValue("daemon.batches"), batches0 + 1);

@@ -156,24 +156,25 @@ TEST(GridCacheProperty, ConcurrentTrafficKeepsAccountingExact)
 TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
 {
     // N client threads push identical batches (two workloads, two
-    // budgets each) through one service.  submitBatch groups the four
-    // requests into two grid lookups, so the cache sees exactly
-    // (threads * rounds * 2) lookups; everything beyond the first
-    // build of each workload must be a hit or a coalesced wait, and
-    // the cache never exceeds its capacity.
+    // budgets each) through one service, one submit() per request, so
+    // the cache sees exactly (threads * rounds * 4) lookups;
+    // everything beyond the first build of each workload must be a
+    // hit or a coalesced wait, and the cache never exceeds its
+    // capacity.  Each batch is ordered by workload: at capacity 4 the
+    // two grids may share a one-entry shard, and alternating between
+    // them would evict on every lookup.
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kRounds = 3;
     svc::CharacterizationService service(test::fastSystemConfig(),
                                          svc::ServiceOptions{2, 4, 4});
 
     std::vector<svc::TuningRequest> batch;
-    for (const double budget : {1.1, 1.5}) {
-        batch.push_back(svc::TuningRequest{test::steadyWorkload(),
-                                           SettingsSpace::coarse(),
-                                           budget, 0.03});
-        batch.push_back(svc::TuningRequest{test::phasedWorkload(),
-                                           SettingsSpace::coarse(),
-                                           budget, 0.03});
+    for (const WorkloadProfile &workload :
+         {test::steadyWorkload(), test::phasedWorkload()}) {
+        for (const double budget : {1.1, 1.5}) {
+            batch.push_back(svc::TuningRequest{
+                workload, SettingsSpace::coarse(), budget, 0.03});
+        }
     }
 
     std::vector<std::thread> clients;
@@ -181,14 +182,13 @@ TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
     for (std::size_t t = 0; t < kThreads; ++t) {
         clients.emplace_back([&service, &batch] {
             for (std::size_t round = 0; round < kRounds; ++round) {
-                const std::vector<svc::TuningResult> results =
-                    service.submitBatch(batch);
-                ASSERT_EQ(results.size(), batch.size());
-                for (std::size_t i = 0; i < results.size(); ++i) {
-                    ASSERT_NE(results[i].grid, nullptr);
-                    EXPECT_EQ(results[i].budget, batch[i].budget);
-                    EXPECT_EQ(results[i].grid->sampleCount(),
-                              batch[i].workload.sampleCount());
+                for (const svc::TuningRequest &request : batch) {
+                    const svc::TuningResult result =
+                        service.submit(request);
+                    ASSERT_NE(result.grid, nullptr);
+                    EXPECT_EQ(result.budget, request.budget);
+                    EXPECT_EQ(result.grid->sampleCount(),
+                              request.workload.sampleCount());
                 }
             }
         });
@@ -197,7 +197,7 @@ TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
         client.join();
 
     const svc::GridCache::Stats stats = service.cacheStats();
-    EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds * 2);
+    EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds * 4);
     EXPECT_LE(stats.entries, 4u);
     // Two workloads were ever built; with coalescing the number of
     // misses is at most the number of builds that actually ran, and

@@ -1,11 +1,17 @@
 /**
  * @file
  * CharacterizationService tests: tuning results, cache reuse across
- * submits, batch deduplication, and parallel/serial equivalence.
+ * submits, batch deduplication through the daemon, parallel/serial
+ * equivalence, and every analysis path pinned to the scalar reference.
  */
+
+#include <bit>
+#include <future>
 
 #include <gtest/gtest.h>
 
+#include "core/reference_analysis.hh"
+#include "daemon/tuning_daemon.hh"
 #include "svc/characterization_service.hh"
 
 namespace mcdvfs
@@ -14,7 +20,7 @@ namespace
 {
 
 WorkloadProfile
-tinyWorkload(const std::string &name = "tiny")
+tinyWorkload(const std::string &name = "tiny", std::size_t samples = 6)
 {
     PhaseSpec cpu;
     cpu.name = "cpu";
@@ -26,8 +32,9 @@ tinyWorkload(const std::string &name = "tiny")
     mem.warmFrac = 0.10;
     mem.coldSeqFrac = 0.3;
     return WorkloadProfile(
-        name, 6, [cpu, mem](std::size_t s) { return s % 2 ? mem : cpu; },
-        5, /*jitter=*/0.0);
+        name, samples,
+        [cpu, mem](std::size_t s) { return s % 2 ? mem : cpu; }, 5,
+        /*jitter=*/0.0);
 }
 
 SystemConfig
@@ -106,9 +113,9 @@ TEST(CharacterizationService, DistinctConfigsDoNotShareGrids)
 
 TEST(CharacterizationService, BatchDeduplicatesIdenticalCharacterizations)
 {
-    svc::ServiceOptions options;
-    options.jobs = 4;
-    svc::CharacterizationService service(fastConfig(), options);
+    daemon::DaemonOptions options;
+    options.service.jobs = 4;
+    daemon::TuningDaemon server(fastConfig(), options);
 
     svc::TuningRequest low = tinyRequest();
     svc::TuningRequest high = tinyRequest();
@@ -116,16 +123,24 @@ TEST(CharacterizationService, BatchDeduplicatesIdenticalCharacterizations)
     svc::TuningRequest other{tinyWorkload("tiny2"),
                              SettingsSpace::coarse(), 1.3, 0.03};
 
-    const std::vector<svc::TuningResult> results =
-        service.submitBatch({low, high, other, low});
-    ASSERT_EQ(results.size(), 4u);
+    std::vector<std::future<daemon::DaemonResponse>> futures;
+    for (const svc::TuningRequest &request : {low, high, other, low})
+        futures.push_back(server.submit(request));
+    std::vector<svc::TuningResult> results;
+    for (std::future<daemon::DaemonResponse> &future : futures) {
+        daemon::DaemonResponse response = future.get();
+        ASSERT_TRUE(response.ok());
+        results.push_back(std::move(response.result));
+    }
+    server.drain();
 
     // Three requests share one characterization; only two grids were
-    // ever built.
+    // ever built.  (How many lookups miss depends on how the batcher
+    // splits the four requests: a coalesced wait counts as a miss.)
     EXPECT_EQ(results[0].grid.get(), results[1].grid.get());
     EXPECT_EQ(results[0].grid.get(), results[3].grid.get());
     EXPECT_NE(results[0].grid.get(), results[2].grid.get());
-    EXPECT_EQ(service.cacheStats().misses, 2u);
+    EXPECT_EQ(server.service().cacheStats().entries, 2u);
 
     // Budgets were honored per request despite the shared grid.
     EXPECT_EQ(results[1].budget, 1.6);
@@ -161,6 +176,92 @@ TEST(CharacterizationService, ParallelServiceMatchesSerialBitForBit)
         EXPECT_EQ(a.regions[r].chosenSettingIndex,
                   b.regions[r].chosenSettingIndex);
     }
+}
+
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+void
+expectSameChoice(const OptimalChoice &got, const OptimalChoice &want)
+{
+    EXPECT_EQ(got.settingIndex, want.settingIndex);
+    EXPECT_EQ(bitsOf(got.speedup), bitsOf(want.speedup));
+    EXPECT_EQ(bitsOf(got.inefficiency), bitsOf(want.inefficiency));
+}
+
+/** @c result against the scalar reference chain on its own grid. */
+void
+expectMatchesReference(const svc::TuningResult &result)
+{
+    InefficiencyAnalysis analysis(*result.grid);
+    OptimalSettingsFinder finder(analysis);
+    const std::vector<PerformanceCluster> want =
+        referenceClusters(finder, result.budget, result.threshold);
+    ASSERT_EQ(result.optimal.size(), want.size());
+    ASSERT_EQ(result.clusters.size(), want.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+        SCOPED_TRACE(testing::Message() << "sample " << s);
+        expectSameChoice(result.optimal[s], want[s].optimal);
+        expectSameChoice(result.clusters[s].optimal, want[s].optimal);
+        EXPECT_EQ(result.clusters[s].settings, want[s].settings);
+    }
+
+    const std::vector<StableRegion> want_regions =
+        referenceStableRegions(result.grid->space(), want);
+    ASSERT_EQ(result.regions.size(), want_regions.size());
+    for (std::size_t i = 0; i < want_regions.size(); ++i) {
+        EXPECT_EQ(result.regions[i].first, want_regions[i].first);
+        EXPECT_EQ(result.regions[i].last, want_regions[i].last);
+        EXPECT_EQ(result.regions[i].availableSettings,
+                  want_regions[i].availableSettings);
+        EXPECT_EQ(result.regions[i].chosenSettingIndex,
+                  want_regions[i].chosenSettingIndex);
+    }
+}
+
+TEST(CharacterizationService, AnalysisMatchesReferenceBitForBit)
+{
+    // A full analysis (an extend() from an empty checkpoint, fanned
+    // over a pool) on both two-domain spaces, with the checkpoint
+    // store on and off.
+    for (const bool fine : {false, true}) {
+        for (const std::size_t checkpoints : {64, 0}) {
+            SCOPED_TRACE(testing::Message()
+                         << (fine ? "fine" : "coarse") << ", "
+                         << checkpoints << " checkpoints");
+            svc::ServiceOptions options;
+            options.jobs = 2;
+            options.checkpointCapacity = checkpoints;
+            svc::CharacterizationService service(fastConfig(), options);
+            for (const double budget : {1.3, 1.6}) {
+                const svc::TuningResult result =
+                    service.submit(svc::TuningRequest{
+                        tinyWorkload(),
+                        fine ? SettingsSpace::fine()
+                             : SettingsSpace::coarse(),
+                        budget, 0.03});
+                EXPECT_FALSE(result.analysisResumed);
+                expectMatchesReference(result);
+            }
+        }
+    }
+
+    // A grown workload resumes from its 8-sample checkpoint; the
+    // extended analysis matches the reference on the grown grid.
+    svc::ServiceOptions options;
+    options.jobs = 2;
+    svc::CharacterizationService service(fastConfig(), options);
+    svc::TuningRequest request{tinyWorkload("grown", 8),
+                               SettingsSpace::coarse(), 1.3, 0.03};
+    expectMatchesReference(service.submit(request));
+    request.workload = tinyWorkload("grown", 12);
+    const svc::TuningResult grown = service.submit(request);
+    ASSERT_TRUE(grown.analysisResumed);
+    EXPECT_EQ(grown.resumedFromSamples, 8u);
+    expectMatchesReference(grown);
 }
 
 } // namespace

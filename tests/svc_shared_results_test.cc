@@ -75,10 +75,6 @@ TEST(SharedInputs, ScriptRunsOncePerSampleInTheConstructor)
     service.keyFor(profile, SettingsSpace::coarse());
     ASSERT_NE(service.grid(profile, SettingsSpace::coarse()), nullptr);
     EXPECT_TRUE(service.submit(requestFor(copy)).analysis != nullptr);
-    EXPECT_EQ(service.submitBatch({requestFor(profile, 1.1),
-                                   requestFor(copy, 1.5)})
-                  .size(),
-              2u);
 
     daemon::DaemonOptions daemon_options;
     daemon_options.service.jobs = 2;

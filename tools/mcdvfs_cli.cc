@@ -25,9 +25,11 @@
  * newline-delimited wl[:budget] specs from stdin, answers them through
  * the async request pipeline, and drains cleanly at EOF.  With
  * --store-dir DIR the daemon persists grid/analysis snapshots there
- * and warm-loads them on the next start; "tune" accepts the same flag
- * to run its batch through a daemon over that store instead of a bare
- * service.
+ * and warm-loads them on the next start.  "tune" and the "stats"
+ * batch submit through the same daemon, in memory only unless
+ * --store-dir is given.  A serve line that fails to parse or to tune
+ * becomes an "error" row (reason on stderr) and the rest are answered;
+ * any such line makes the exit status 1.
  *
  * Every command accepts --metrics-out FILE to dump the process
  * metrics snapshot (docs/OBSERVABILITY.md) as JSON on exit; the
@@ -464,49 +466,66 @@ daemonOptions(const ArgParser &args)
     return options;
 }
 
+/** The tuning request of one wl[:budget] spec. */
+svc::TuningRequest
+requestFrom(const std::string &spec, const ArgParser &args)
+{
+    const std::size_t colon = spec.find(':');
+    return svc::TuningRequest{workloadByName(spec.substr(0, colon)),
+                              spaceFrom(args),
+                              budgetFromSpec(spec, colon, args),
+                              args.getDouble("threshold", 3.0) / 100.0};
+}
+
+/** The requests of every wl[:budget] positional after the command. */
+std::vector<svc::TuningRequest>
+requestsFrom(const ArgParser &args)
+{
+    std::vector<svc::TuningRequest> requests;
+    for (std::size_t i = 1; i < args.positionals().size(); ++i)
+        requests.push_back(requestFrom(args.positionals()[i], args));
+    return requests;
+}
+
+/**
+ * Submit every request to @c server, drain it, and return the results
+ * in request order.
+ *
+ * @throws FatalError when a request is shed or fails
+ */
+std::vector<svc::TuningResult>
+tuneAll(daemon::TuningDaemon &server,
+        const std::vector<svc::TuningRequest> &requests)
+{
+    std::vector<std::future<daemon::DaemonResponse>> futures;
+    futures.reserve(requests.size());
+    for (const svc::TuningRequest &request : requests)
+        futures.push_back(server.submit(request));
+    std::vector<svc::TuningResult> results;
+    results.reserve(requests.size());
+    for (std::future<daemon::DaemonResponse> &future : futures) {
+        daemon::DaemonResponse response = future.get();
+        if (!response.ok())
+            fatal("request shed (", daemon::shedReasonName(response.shed),
+                  ")");
+        results.push_back(std::move(response.result));
+    }
+    server.drain();
+    return results;
+}
+
 int
 cmdTune(const ArgParser &args)
 {
-    // tune <workload[:budget]> <workload[:budget]> ... — with
-    // --store-dir, the batch runs through the persistent tuning
-    // daemon (snapshots written and warm-loaded) instead of a bare
-    // service.
-    std::vector<svc::TuningRequest> requests;
-    for (std::size_t i = 1; i < args.positionals().size(); ++i) {
-        const std::string &spec = args.positionals()[i];
-        const std::size_t colon = spec.find(':');
-        svc::TuningRequest request{
-            workloadByName(spec.substr(0, colon)), spaceFrom(args),
-            budgetFromSpec(spec, colon, args),
-            args.getDouble("threshold", 3.0) / 100.0};
-        requests.push_back(std::move(request));
-    }
-
-    std::unique_ptr<svc::CharacterizationService> direct;
-    std::unique_ptr<daemon::TuningDaemon> server;
-    std::vector<svc::TuningResult> results;
-    if (args.has("store-dir")) {
-        server = std::make_unique<daemon::TuningDaemon>(
-            SystemConfig::paperDefault(), daemonOptions(args));
-        std::vector<std::future<daemon::DaemonResponse>> futures;
-        futures.reserve(requests.size());
-        for (const svc::TuningRequest &request : requests)
-            futures.push_back(server->submit(request));
-        for (std::future<daemon::DaemonResponse> &future : futures) {
-            daemon::DaemonResponse response = future.get();
-            if (!response.ok())
-                fatal("tune: request shed (",
-                      daemon::shedReasonName(response.shed), ")");
-            results.push_back(std::move(response.result));
-        }
-        server->drain();
-    } else {
-        direct = std::make_unique<svc::CharacterizationService>(
-            SystemConfig::paperDefault(), serviceOptions(args));
-        results = direct->submitBatch(requests);
-    }
-    svc::CharacterizationService &service =
-        server ? server->service() : *direct;
+    // tune <workload[:budget]> <workload[:budget]> ... — one batch
+    // through the tuning daemon (with --store-dir, snapshots are
+    // written and warm-loaded).
+    const std::vector<svc::TuningRequest> requests = requestsFrom(args);
+    daemon::TuningDaemon server(SystemConfig::paperDefault(),
+                                daemonOptions(args));
+    const std::vector<svc::TuningResult> results =
+        tuneAll(server, requests);
+    svc::CharacterizationService &service = server.service();
 
     Table table({"workload", "budget", "samples", "regions",
                  "mean length", "cached"});
@@ -551,14 +570,16 @@ cmdTune(const ArgParser &args)
                   << profile_stats.evictions << " evictions, "
                   << profile_stats.entries << " resident\n";
     }
-    if (server != nullptr) {
-        const daemon::DaemonStats stats = server->stats();
-        std::cout << "daemon: " << stats.completed << " completed, "
-                  << stats.coalesced << " coalesced, "
-                  << stats.warmGrids << "+" << stats.warmAnalyses
+    const daemon::DaemonStats daemon_stats = server.stats();
+    std::cout << "daemon: " << daemon_stats.completed << " completed, "
+              << daemon_stats.coalesced << " coalesced";
+    if (server.store() != nullptr) {
+        std::cout << ", " << daemon_stats.warmGrids << "+"
+                  << daemon_stats.warmAnalyses
                   << " snapshots warm-loaded from '"
-                  << server->store()->directory() << "'\n";
+                  << server.store()->directory() << "'";
     }
+    std::cout << "\n";
 
     if (args.has("trace-journal")) {
         obs::DecisionJournal journal;
@@ -579,7 +600,9 @@ cmdServe(const ArgParser &args)
 {
     // serve — long-lived daemon loop: one wl[:budget] spec per stdin
     // line ('#' comments and blank lines skipped), answered through
-    // the async pipeline; EOF drains and prints the summary.  With
+    // the async pipeline; EOF drains and prints the summary.  A line
+    // that fails to parse or to tune is one "error" row, and the exit
+    // status is 1 once the table and summary are out.  With
     // --telemetry-out FILE a background pipeline samples the metrics
     // registry (SLO watchdog armed) for the daemon's whole life and
     // writes the timeseries JSON on exit.
@@ -596,7 +619,9 @@ cmdServe(const ArgParser &args)
     struct Submitted
     {
         std::string spec;
+        /** Invalid when the line failed to parse. */
         std::future<daemon::DaemonResponse> future;
+        std::string error;
     };
     std::vector<Submitted> submitted;
     std::string line;
@@ -604,14 +629,15 @@ cmdServe(const ArgParser &args)
         const std::size_t start = line.find_first_not_of(" \t");
         if (start == std::string::npos || line[start] == '#')
             continue;
-        const std::string spec =
+        Submitted entry;
+        entry.spec =
             line.substr(start, line.find_last_not_of(" \t\r") - start + 1);
-        const std::size_t colon = spec.find(':');
-        svc::TuningRequest request{
-            workloadByName(spec.substr(0, colon)), spaceFrom(args),
-            budgetFromSpec(spec, colon, args),
-            args.getDouble("threshold", 3.0) / 100.0};
-        submitted.push_back(Submitted{spec, server.submit(request)});
+        try {
+            entry.future = server.submit(requestFrom(entry.spec, args));
+        } catch (const std::exception &err) {
+            entry.error = err.what();
+        }
+        submitted.push_back(std::move(entry));
     }
     server.drain();
 
@@ -621,9 +647,22 @@ cmdServe(const ArgParser &args)
                    Table::num(static_cast<long long>(
                        server.service().jobs())) +
                    " jobs)");
+    std::size_t failed = 0;
     for (Submitted &entry : submitted) {
-        daemon::DaemonResponse response = entry.future.get();
-        if (response.ok()) {
+        daemon::DaemonResponse response;
+        if (entry.future.valid()) {
+            try {
+                response = entry.future.get();
+            } catch (const std::exception &err) {
+                entry.error = err.what();
+            }
+        }
+        if (!entry.error.empty()) {
+            std::cerr << "error: " << entry.spec << ": " << entry.error
+                      << "\n";
+            table.addRow({entry.spec, "-", "-", "-", "error", "-"});
+            ++failed;
+        } else if (response.ok()) {
             table.addRow(
                 {entry.spec,
                  Table::num(static_cast<long long>(
@@ -643,8 +682,8 @@ cmdServe(const ArgParser &args)
     std::cout << "daemon: " << stats.admitted << " admitted, "
               << stats.completed << " completed, "
               << stats.shedQueueFull + stats.shedDraining << " shed, "
-              << stats.batches << " batches, " << stats.coalesced
-              << " coalesced\n";
+              << failed << " failed, " << stats.batches << " batches, "
+              << stats.coalesced << " coalesced\n";
     if (server.store() != nullptr) {
         const daemon::SnapshotStore::Stats store_stats =
             server.store()->stats();
@@ -662,25 +701,15 @@ cmdServe(const ArgParser &args)
                   << " telemetry ticks to "
                   << args.get("telemetry-out") << "\n";
     }
-    return 0;
+    return failed == 0 ? 0 : 1;
 }
 
 void
 runStatsBatch(const ArgParser &args)
 {
-    svc::CharacterizationService service(SystemConfig::paperDefault(),
-                                         serviceOptions(args));
-    std::vector<svc::TuningRequest> requests;
-    for (std::size_t i = 1; i < args.positionals().size(); ++i) {
-        const std::string &spec = args.positionals()[i];
-        const std::size_t colon = spec.find(':');
-        svc::TuningRequest request{
-            workloadByName(spec.substr(0, colon)), spaceFrom(args),
-            budgetFromSpec(spec, colon, args),
-            args.getDouble("threshold", 3.0) / 100.0};
-        requests.push_back(std::move(request));
-    }
-    service.submitBatch(requests);
+    daemon::TuningDaemon server(SystemConfig::paperDefault(),
+                                daemonOptions(args));
+    tuneAll(server, requestsFrom(args));
 }
 
 int
