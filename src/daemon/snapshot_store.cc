@@ -24,15 +24,12 @@ namespace
 
 namespace fs = std::filesystem;
 
-/** Process-wide snapshot-store metrics (all stores share them). */
+/**
+ * Process-wide snapshot-store latency histograms (all stores share
+ * them; the counters are each store's own OwnedCounters).
+ */
 struct StoreMetrics
 {
-    obs::Counter gridStores;
-    obs::Counter gridLoads;
-    obs::Counter analysisStores;
-    obs::Counter analysisLoads;
-    obs::Counter loadErrors;
-    obs::Counter storeErrors;
     obs::Histogram storeNs;
     obs::Histogram loadNs;
 
@@ -40,12 +37,6 @@ struct StoreMetrics
     {
         obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
         const auto latency = obs::MetricsRegistry::latencyBucketsNs();
-        gridStores = reg.counter("daemon.snapshot.grid_stores");
-        gridLoads = reg.counter("daemon.snapshot.grid_loads");
-        analysisStores = reg.counter("daemon.snapshot.analysis_stores");
-        analysisLoads = reg.counter("daemon.snapshot.analysis_loads");
-        loadErrors = reg.counter("daemon.snapshot.load_errors");
-        storeErrors = reg.counter("daemon.snapshot.store_errors");
         storeNs = reg.histogram("daemon.snapshot.store_ns", latency);
         loadNs = reg.histogram("daemon.snapshot.load_ns", latency);
     }
@@ -390,18 +381,11 @@ SnapshotStore::writeSnapshot(const std::string &path, Kind kind,
     } catch (const FatalError &err) {
         std::error_code ec;
         fs::remove(temp, ec);
-        storeErrors_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().storeErrors.add(1);
+        storeErrors_.add();
         warn("snapshot store: cannot store '", path, "': ", err.what());
         return false;
     }
-    if (kind == Kind::Grid) {
-        gridStores_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().gridStores.add(1);
-    } else {
-        analysisStores_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().analysisStores.add(1);
-    }
+    (kind == Kind::Grid ? gridStores_ : analysisStores_).add();
     return true;
 }
 
@@ -452,18 +436,11 @@ SnapshotStore::readSnapshot(const std::string &path, Kind kind,
                   "snapshot)");
         parse(key, payload);
     } catch (const FatalError &err) {
-        loadErrors_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().loadErrors.add(1);
+        loadErrors_.add();
         warn("snapshot store: rejecting '", path, "': ", err.what());
         return false;
     }
-    if (kind == Kind::Grid) {
-        gridLoads_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().gridLoads.add(1);
-    } else {
-        analysisLoads_.fetch_add(1, std::memory_order_relaxed);
-        storeMetrics().analysisLoads.add(1);
-    }
+    (kind == Kind::Grid ? gridLoads_ : analysisLoads_).add();
     return true;
 }
 
@@ -556,13 +533,12 @@ SnapshotStore::Stats
 SnapshotStore::stats() const
 {
     Stats stats;
-    stats.gridStores = gridStores_.load(std::memory_order_relaxed);
-    stats.gridLoads = gridLoads_.load(std::memory_order_relaxed);
-    stats.analysisStores =
-        analysisStores_.load(std::memory_order_relaxed);
-    stats.analysisLoads = analysisLoads_.load(std::memory_order_relaxed);
-    stats.loadErrors = loadErrors_.load(std::memory_order_relaxed);
-    stats.storeErrors = storeErrors_.load(std::memory_order_relaxed);
+    stats.gridStores = gridStores_.value();
+    stats.gridLoads = gridLoads_.value();
+    stats.analysisStores = analysisStores_.value();
+    stats.analysisLoads = analysisLoads_.value();
+    stats.loadErrors = loadErrors_.value();
+    stats.storeErrors = storeErrors_.value();
     return stats;
 }
 

@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "common/binio.hh"
+#include "obs/metrics.hh"
 #include "svc/analysis_cache.hh"
 #include "svc/grid_cache.hh"
 
@@ -77,7 +78,10 @@ class SnapshotStore
      */
     static constexpr std::uint32_t kVersion = 3;
 
-    /** Monotonic per-store I/O counters. */
+    /**
+     * Monotonic per-store I/O counters: each field is this store's own
+     * count of the daemon.snapshot.* series of the same name.
+     */
     struct Stats
     {
         std::uint64_t gridStores = 0;
@@ -181,13 +185,14 @@ class SnapshotStore
                       const SnapshotParser &parse);
 
     std::string directory_;
+    /** Suffix of this store's temporary file names. */
     std::atomic<std::uint64_t> tempSeq_{0};
-    std::atomic<std::uint64_t> gridStores_{0};
-    std::atomic<std::uint64_t> gridLoads_{0};
-    std::atomic<std::uint64_t> analysisStores_{0};
-    std::atomic<std::uint64_t> analysisLoads_{0};
-    std::atomic<std::uint64_t> loadErrors_{0};
-    std::atomic<std::uint64_t> storeErrors_{0};
+    obs::OwnedCounter gridStores_{"daemon.snapshot.grid_stores"};
+    obs::OwnedCounter gridLoads_{"daemon.snapshot.grid_loads"};
+    obs::OwnedCounter analysisStores_{"daemon.snapshot.analysis_stores"};
+    obs::OwnedCounter analysisLoads_{"daemon.snapshot.analysis_loads"};
+    obs::OwnedCounter loadErrors_{"daemon.snapshot.load_errors"};
+    obs::OwnedCounter storeErrors_{"daemon.snapshot.store_errors"};
 };
 
 } // namespace daemon

@@ -18,20 +18,16 @@ namespace daemon
 namespace
 {
 
-/** Process-wide daemon metrics (all instances share them). */
+/**
+ * Process-wide daemon metrics with no per-daemon twin (all instances
+ * share them); the counted events are each daemon's OwnedCounters.
+ */
 struct DaemonMetrics
 {
     obs::Gauge queueDepth;
     obs::Counter submitted;
-    obs::Counter admitted;
+    /** Total of the daemon.shed{reason} series the daemons own. */
     obs::Counter shed;
-    /** Labeled views of `shed` (reasons sum to the total). */
-    obs::Counter shedReasonQueueFull;
-    obs::Counter shedReasonDraining;
-    obs::Counter batches;
-    obs::Counter coalesced;
-    obs::Counter completed;
-    obs::Counter analysisResumed;
     obs::Histogram queueWaitNs;
     obs::Histogram gridStageNs;
     obs::Histogram analysisStageNs;
@@ -43,16 +39,7 @@ struct DaemonMetrics
         const auto latency = obs::MetricsRegistry::latencyBucketsNs();
         queueDepth = reg.gauge("daemon.queue_depth");
         submitted = reg.counter("daemon.submitted");
-        admitted = reg.counter("daemon.admitted");
         shed = reg.counter("daemon.shed");
-        shedReasonQueueFull =
-            reg.counter("daemon.shed", {{"reason", "queue_full"}});
-        shedReasonDraining =
-            reg.counter("daemon.shed", {{"reason", "draining"}});
-        batches = reg.counter("daemon.batches");
-        coalesced = reg.counter("daemon.coalesced");
-        completed = reg.counter("daemon.completed");
-        analysisResumed = reg.counter("daemon.analysis_resumed");
         queueWaitNs = reg.histogram("daemon.queue_wait_ns", latency);
         gridStageNs = reg.histogram("daemon.grid_stage_ns", latency);
         analysisStageNs =
@@ -105,10 +92,6 @@ TuningDaemon::TuningDaemon(const SystemConfig &config,
         fatal("tuning daemon: queue capacity must be >= 1");
     if (options_.maxBatch == 0)
         fatal("tuning daemon: max batch must be >= 1");
-    if (options_.shedWatermark == 0 ||
-        options_.shedWatermark > options_.queueCapacity) {
-        options_.shedWatermark = options_.queueCapacity;
-    }
     if (!options_.storeDir.empty()) {
         store_ = std::make_unique<SnapshotStore>(options_.storeDir);
         warmLoad();
@@ -172,7 +155,7 @@ TuningDaemon::submit(const svc::TuningRequest &request)
         std::lock_guard<std::mutex> lock(mutex_);
         if (draining_) {
             reason = ShedReason::Draining;
-        } else if (queue_.size() >= options_.shedWatermark) {
+        } else if (queue_.size() >= options_.queueCapacity) {
             reason = ShedReason::QueueFull;
         } else {
             queue_.push_back(Pending{request, std::move(promise),
@@ -186,12 +169,10 @@ TuningDaemon::submit(const svc::TuningRequest &request)
     if (reason != ShedReason::None) {
         daemonMetrics().shed.add(1);
         if (reason == ShedReason::Draining) {
-            shedDraining_.fetch_add(1, std::memory_order_relaxed);
-            daemonMetrics().shedReasonDraining.add(1);
+            shedDraining_.add();
             obs::traceInstant("daemon.shed_draining", request_id);
         } else {
-            shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-            daemonMetrics().shedReasonQueueFull.add(1);
+            shedQueueFull_.add();
             obs::traceInstant("daemon.shed_queue_full", request_id);
         }
         if (journal_ != nullptr) {
@@ -208,8 +189,7 @@ TuningDaemon::submit(const svc::TuningRequest &request)
         return future;
     }
 
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    daemonMetrics().admitted.add(1);
+    admitted_.add();
     obs::traceInstant("daemon.submit", request_id);
     wake_.notify_one();
     return future;
@@ -245,8 +225,7 @@ void
 TuningDaemon::dispatchBatch(std::vector<Pending> batch)
 {
     obs::TraceSpan batch_span("daemon.dispatch_batch", batch.size());
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    daemonMetrics().batches.add(1);
+    batches_.add();
 
     // Coalesce by grid identity: every group characterizes its grid
     // once; distinct groups run as independent pool tasks.
@@ -260,8 +239,7 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
         if (members == nullptr) {
             members = std::make_shared<std::vector<Pending>>();
         } else {
-            coalesced_.fetch_add(1, std::memory_order_relaxed);
-            daemonMetrics().coalesced.add(1);
+            coalesced_.add();
         }
         members->push_back(std::move(pending));
     }
@@ -309,6 +287,7 @@ TuningDaemon::runGroup(const svc::GridKey &key,
         if (!grid_hit && store_ != nullptr)
             store_->storeGrid(key, *grid);
     } catch (...) {
+        failed_.add(members->size());
         for (Pending &pending : *members)
             pending.promise.set_exception(std::current_exception());
         return;
@@ -337,11 +316,8 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             const std::uint64_t analysis_ns =
                 obs::elapsedNs(analysis_start);
             daemonMetrics().analysisStageNs.record(analysis_ns);
-            if (result.analysisResumed) {
-                analysisResumed_.fetch_add(1,
-                                           std::memory_order_relaxed);
-                daemonMetrics().analysisResumed.add(1);
-            }
+            if (result.analysisResumed)
+                analysisResumed_.add();
 
             if (!result.analysisCacheHit && store_ != nullptr) {
                 store_->storeAnalysis(
@@ -373,8 +349,7 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             response.analysisNs = analysis_ns;
             response.totalNs = obs::elapsedNs(pending.submittedAt);
             daemonMetrics().requestNs.record(response.totalNs);
-            completed_.fetch_add(1, std::memory_order_relaxed);
-            daemonMetrics().completed.add(1);
+            completed_.add();
             obs::MetricsRegistry::global()
                 .counter("daemon.completed",
                          {{"wl", pending.request.workload.name()}})
@@ -382,6 +357,7 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             pending.promise.set_value(std::move(response));
         } catch (...) {
             // The caller sees the exception through its future.
+            failed_.add();
             pending.promise.set_exception(std::current_exception());
         }
     }
@@ -424,15 +400,14 @@ DaemonStats
 TuningDaemon::stats() const
 {
     DaemonStats stats;
-    stats.admitted = admitted_.load(std::memory_order_relaxed);
-    stats.shedQueueFull =
-        shedQueueFull_.load(std::memory_order_relaxed);
-    stats.shedDraining = shedDraining_.load(std::memory_order_relaxed);
-    stats.batches = batches_.load(std::memory_order_relaxed);
-    stats.coalesced = coalesced_.load(std::memory_order_relaxed);
-    stats.completed = completed_.load(std::memory_order_relaxed);
-    stats.analysisResumed =
-        analysisResumed_.load(std::memory_order_relaxed);
+    stats.admitted = admitted_.value();
+    stats.shedQueueFull = shedQueueFull_.value();
+    stats.shedDraining = shedDraining_.value();
+    stats.batches = batches_.value();
+    stats.coalesced = coalesced_.value();
+    stats.completed = completed_.value();
+    stats.failed = failed_.value();
+    stats.analysisResumed = analysisResumed_.value();
     stats.warmGrids = warmGrids_;
     stats.warmAnalyses = warmAnalyses_;
     return stats;

@@ -13,7 +13,7 @@
  *                load-shed)       fingerprint) the pool)      Cache)
  *
  *  - Admission control: the submit queue is bounded; once its depth
- *    reaches the shed watermark, new requests are rejected immediately
+ *    reaches queueCapacity, new requests are rejected immediately
  *    with a reason (the future still resolves — callers never hang),
  *    counted in daemon.shed{reason}.  A saturated daemon degrades by
  *    shedding load, not by growing an unbounded backlog.
@@ -34,7 +34,8 @@
  *    exactly).
  *  - Shutdown: drain() stops admission (Draining sheds), finishes the
  *    queue and every in-flight batch, then drains the pool — no
- *    accepted request is ever dropped.
+ *    accepted request is ever dropped: after drain(), admitted ==
+ *    completed + failed.
  *
  * Metrics live under the daemon.* namespace (docs/OBSERVABILITY.md).
  */
@@ -42,7 +43,6 @@
 #ifndef MCDVFS_DAEMON_TUNING_DAEMON_HH
 #define MCDVFS_DAEMON_TUNING_DAEMON_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -67,7 +67,7 @@ namespace daemon
 enum class ShedReason
 {
     None = 0,     ///< not shed: the response carries a result
-    QueueFull,    ///< queue depth at or above the shed watermark
+    QueueFull,    ///< queue depth at queueCapacity
     Draining,     ///< daemon is shutting down
 };
 
@@ -97,14 +97,11 @@ struct DaemonOptions
 {
     /** Service sizing (pool workers, cache capacities). */
     svc::ServiceOptions service;
-    /** Hard bound on queued (admitted, not yet dispatched) requests. */
-    std::size_t queueCapacity = 4096;
     /**
-     * Queue depth at which admission control starts shedding; 0 means
-     * "at capacity".  A watermark below capacity sheds early so the
-     * queue keeps headroom for bursts already admitted.
+     * Hard bound on queued (admitted, not yet dispatched) requests;
+     * admission control sheds at this depth.
      */
-    std::size_t shedWatermark = 0;
+    std::size_t queueCapacity = 4096;
     /** Most requests the batcher dispatches as one batch. */
     std::size_t maxBatch = 128;
     /**
@@ -115,7 +112,12 @@ struct DaemonOptions
     std::string storeDir;
 };
 
-/** Counters summarizing a daemon's lifetime (see also daemon.*). */
+/**
+ * Counters summarizing a daemon's lifetime.  Each counted field is an
+ * obs::OwnedCounter: this daemon's own count of its daemon.* series
+ * (admitted, batches, coalesced, completed, failed, analysis_resumed,
+ * shed{reason=queue_full|draining}).
+ */
 struct DaemonStats
 {
     std::uint64_t admitted = 0;
@@ -125,6 +127,8 @@ struct DaemonStats
     /** Requests that shared a batch group with an earlier request. */
     std::uint64_t coalesced = 0;
     std::uint64_t completed = 0;
+    /** Admitted requests whose future holds an exception. */
+    std::uint64_t failed = 0;
     /**
      * Analyses that resumed from an incremental checkpoint of a
      * shorter content prefix instead of recomputing the full history.
@@ -228,13 +232,15 @@ class TuningDaemon
     /** Serializes drain() callers (drain is idempotent). */
     std::mutex drainMutex_;
 
-    std::atomic<std::uint64_t> admitted_{0};
-    std::atomic<std::uint64_t> shedQueueFull_{0};
-    std::atomic<std::uint64_t> shedDraining_{0};
-    std::atomic<std::uint64_t> batches_{0};
-    std::atomic<std::uint64_t> coalesced_{0};
-    std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> analysisResumed_{0};
+    obs::OwnedCounter admitted_{"daemon.admitted"};
+    obs::OwnedCounter shedQueueFull_{"daemon.shed",
+                                     {{"reason", "queue_full"}}};
+    obs::OwnedCounter shedDraining_{"daemon.shed", {{"reason", "draining"}}};
+    obs::OwnedCounter batches_{"daemon.batches"};
+    obs::OwnedCounter coalesced_{"daemon.coalesced"};
+    obs::OwnedCounter completed_{"daemon.completed"};
+    obs::OwnedCounter failed_{"daemon.failed"};
+    obs::OwnedCounter analysisResumed_{"daemon.analysis_resumed"};
     std::uint64_t warmGrids_ = 0;
     std::uint64_t warmAnalyses_ = 0;
 

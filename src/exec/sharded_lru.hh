@@ -19,17 +19,17 @@
  * by shared_ptr, so eviction never invalidates a value a caller
  * still holds.
  *
- * Each instance keeps its own Stats and also counts into the
- * process-wide registry as <prefix>.{hits,misses,evictions,inserts}
- * plus the <prefix>.entries gauge; instances sharing a prefix share
- * those metrics.
+ * Hits, misses and evictions are obs::OwnedCounters: one add per
+ * event moves both the instance's Stats and the <prefix>.{hits,misses,
+ * evictions} series.  <prefix>.inserts and the <prefix>.entries gauge
+ * are registry-only.  Instances sharing a prefix share the series,
+ * which then report the sum over those instances.
  */
 
 #ifndef MCDVFS_EXEC_SHARDED_LRU_HH
 #define MCDVFS_EXEC_SHARDED_LRU_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -89,16 +89,15 @@ class ShardedLru
      */
     ShardedLru(std::size_t capacity, std::size_t shards,
                const std::string &metric_prefix)
-        : capacity_(capacity)
+        : capacity_(capacity), hits_(metric_prefix + ".hits"),
+          misses_(metric_prefix + ".misses"),
+          evictions_(metric_prefix + ".evictions")
     {
         if (capacity == 0)
             fatal(metric_prefix, ": cache capacity must be at least 1");
         if (shards == 0)
             fatal(metric_prefix, ": cache shard count must be at least 1");
         obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
-        metricHits_ = reg.counter(metric_prefix + ".hits");
-        metricMisses_ = reg.counter(metric_prefix + ".misses");
-        metricEvictions_ = reg.counter(metric_prefix + ".evictions");
         metricInserts_ = reg.counter(metric_prefix + ".inserts");
         metricEntries_ = reg.gauge(metric_prefix + ".entries");
         // Remainder entries go to the first shards, so the shard
@@ -152,12 +151,10 @@ class ShardedLru
             if (it == shard.index.end())
                 continue;
             shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            metricHits_.add(1);
+            hits_.add();
             return it->second->second;
         }
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        metricMisses_.add(1);
+        misses_.add();
         return nullptr;
     }
 
@@ -182,8 +179,7 @@ class ShardedLru
         if (shard.lru.size() >= shard.capacity) {
             shard.index.erase(shard.lru.back().first);
             shard.lru.pop_back();
-            evictions_.fetch_add(1, std::memory_order_relaxed);
-            metricEvictions_.add(1);
+            evictions_.add();
             metricEntries_.add(-1);
         }
         shard.lru.emplace_front(slot, std::move(value));
@@ -208,9 +204,9 @@ class ShardedLru
     stats() const
     {
         Stats stats;
-        stats.hits = hits_.load(std::memory_order_relaxed);
-        stats.misses = misses_.load(std::memory_order_relaxed);
-        stats.evictions = evictions_.load(std::memory_order_relaxed);
+        stats.hits = hits_.value();
+        stats.misses = misses_.value();
+        stats.evictions = evictions_.value();
         for (const auto &shard : shards_) {
             std::lock_guard<std::mutex> lock(shard->mutex);
             stats.entries += shard->lru.size();
@@ -269,13 +265,9 @@ class ShardedLru
 
     std::size_t capacity_;
     std::vector<std::unique_ptr<Shard>> shards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-
-    obs::Counter metricHits_;
-    obs::Counter metricMisses_;
-    obs::Counter metricEvictions_;
+    obs::OwnedCounter hits_;
+    obs::OwnedCounter misses_;
+    obs::OwnedCounter evictions_;
     obs::Counter metricInserts_;
     obs::Gauge metricEntries_;
 };

@@ -229,6 +229,14 @@ MetricsRegistry::gauge(const std::string &name, const MetricLabels &labels)
     return Gauge(gaugeCellsLocked(internLabeledLocked(name, labels)));
 }
 
+OwnedCounter::OwnedCounter(const std::string &name,
+                           const MetricLabels &labels)
+    : series_(labels.empty()
+                  ? MetricsRegistry::global().counter(name)
+                  : MetricsRegistry::global().counter(name, labels))
+{
+}
+
 std::size_t
 MetricsRegistry::labelLimit() const
 {

@@ -179,6 +179,46 @@ class Counter
     detail::CounterCells *cells_ = nullptr;
 };
 
+/**
+ * A count one object owns that also feeds the global registry series
+ * it is named after: one add() per event moves both, and value()
+ * reads the object's own count.  Objects with a stats() API (the
+ * daemon, the snapshot store, every sharded cache) hold one per
+ * counted event, so "an object's stats and its series count the same
+ * events" holds by type, not by two increments kept in step.  Owners
+ * of one series each report their own count; the series reports the
+ * sum.  The owned count is a relaxed atomic that stays live when
+ * MCDVFS_METRICS=OFF compiles the series half out.
+ */
+class OwnedCounter
+{
+  public:
+    /** Owns a count of `name`, or of its `name{labels}` series. */
+    explicit OwnedCounter(const std::string &name,
+                          const MetricLabels &labels = {});
+
+    OwnedCounter(const OwnedCounter &) = delete;
+    OwnedCounter &operator=(const OwnedCounter &) = delete;
+
+    void
+    add(std::uint64_t n = 1)
+    {
+        value_.fetch_add(n, std::memory_order_relaxed);
+        series_.add(n);
+    }
+
+    /** This owner's count (not the series total). */
+    std::uint64_t
+    value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<std::uint64_t> value_{0};
+    Counter series_;
+};
+
 /** Named value that can move both ways (sizes, in-flight counts). */
 class Gauge
 {

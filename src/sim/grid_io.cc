@@ -1,13 +1,10 @@
 #include "sim/grid_io.hh"
 
-#include <cstring>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 #include <vector>
 
 #include "common/binio.hh"
-#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace mcdvfs
@@ -191,58 +188,11 @@ namespace
 {
 
 /**
- * Upper bound on a plausible payload (a fine-space grid of thousands
- * of samples is tens of MiB); a corrupted length word must not turn
- * into a multi-GiB allocation.
+ * Upper bound on a plausible body (a fine-space grid of thousands of
+ * samples is tens of MiB); a corrupted sample count must not turn into
+ * a multi-GiB allocation.
  */
 constexpr std::uint64_t kMaxPayloadBytes = 1ull << 31;
-
-/** Magic, version word, payload length and payload checksum. */
-constexpr std::size_t kBinaryHeaderBytes =
-    sizeof(kGridBinaryMagic) + 4 + 8 + 8;
-
-/** The fixed header of a binary snapshot. */
-struct BinaryHeader
-{
-    std::uint32_t version = 0;
-    std::uint64_t payloadSize = 0;
-    std::uint64_t checksum = 0;
-};
-
-/** Verify and decode the header at the front of @c bytes. */
-BinaryHeader
-readBinaryHeader(std::string_view bytes)
-{
-    if (bytes.size() < sizeof(kGridBinaryMagic))
-        fatal("grid snapshot: truncated header (", bytes.size(), " of ",
-              sizeof(kGridBinaryMagic), " magic bytes)");
-    if (std::memcmp(bytes.data(), kGridBinaryMagic,
-                    sizeof(kGridBinaryMagic)) != 0)
-        fatal("grid snapshot: bad magic (not a binary grid snapshot)");
-    if (bytes.size() < kBinaryHeaderBytes)
-        fatal("grid snapshot: truncated header fields");
-    ByteReader r(bytes.substr(sizeof(kGridBinaryMagic),
-                              kBinaryHeaderBytes - sizeof(kGridBinaryMagic)),
-                 "grid snapshot header");
-    BinaryHeader header;
-    header.version = r.u32();
-    header.payloadSize = r.u64();
-    header.checksum = r.u64();
-    if (header.payloadSize > kMaxPayloadBytes)
-        fatal("grid snapshot: implausible payload size ",
-              header.payloadSize);
-    return header;
-}
-
-/** Verify the payload's checksum (byte-wise FNV-1a) and parse it in place. */
-MeasuredGrid
-readBinaryPayload(std::string_view payload, const BinaryHeader &header)
-{
-    if (fnv1aString(kFnvOffsetBasis, payload) != header.checksum)
-        fatal("grid snapshot: checksum mismatch (corrupt snapshot)");
-    ByteReader r(payload, "grid snapshot");
-    return readGridBody(r, header.version);
-}
 
 } // namespace
 
@@ -327,9 +277,8 @@ writeGridBody(ByteWriter &w, const MeasuredGrid &grid)
 MeasuredGrid
 readGridBody(ByteReader &r, std::uint32_t format)
 {
-    if (format < 1 || format > kGridBinaryVersion)
-        fatal("grid snapshot: unsupported version ", format,
-              " (expected 1..", kGridBinaryVersion, ")");
+    if (format != 1 && format != 2)
+        fatal("grid body: unsupported format ", format, " (expected 1 or 2)");
     const bool has_gpu = format == 2;
 
     std::string workload = r.str();
@@ -339,7 +288,7 @@ readGridBody(ByteReader &r, std::uint32_t format)
     const auto read_ladder = [&r](const char *name) {
         const std::uint32_t count = r.u32();
         if (count == 0 || count > 1'000'000)
-            fatal("grid snapshot: implausible ", name, " ladder size ",
+            fatal("grid body: implausible ", name, " ladder size ",
                   count);
         const char *steps_at =
             r.bytes(count * sizeof(double), "ladder").data();
@@ -356,17 +305,22 @@ readGridBody(ByteReader &r, std::uint32_t format)
                 : SettingsSpace(std::move(cpu), std::move(mem));
 
     const std::size_t settings = space.size();
-    const std::size_t doubles_per_cell = has_gpu ? 6 : 5;
-    if (samples >
-        kMaxPayloadBytes / sizeof(double) / doubles_per_cell / settings)
-        fatal("grid snapshot: implausible sample count ", samples);
+    const std::size_t cell_bytes = (has_gpu ? 6 : 5) * sizeof(double);
+    const std::size_t row_bytes = settings * cell_bytes;
+    if (samples > kMaxPayloadBytes / row_bytes)
+        fatal("grid body: implausible sample count ", samples);
+    // The rows alone take row_bytes each: a count the bytes left cannot
+    // hold is a corrupt body, rejected before the grid is allocated.
+    if (samples > r.remaining() / row_bytes)
+        fatal("grid body: ", samples, " samples need more than the ",
+              r.remaining(), " bytes left");
 
     MeasuredGrid grid(std::move(workload), std::move(space),
                       static_cast<std::size_t>(samples), instructions);
 
     const std::uint8_t has_profiles = r.u8();
     if (has_profiles > 1)
-        fatal("grid snapshot: corrupt profile marker ",
+        fatal("grid body: corrupt profile marker ",
               static_cast<unsigned>(has_profiles));
     if (has_profiles == 1) {
         std::vector<SampleProfile> profiles(samples);
@@ -395,9 +349,8 @@ readGridBody(ByteReader &r, std::uint32_t format)
 
     // The grid keeps one column per quantity: each row is one bounds
     // check, then a strided decode.
-    const std::size_t cell_bytes = doubles_per_cell * sizeof(double);
     for (std::uint64_t s = 0; s < samples; ++s) {
-        const char *cell = r.bytes(settings * cell_bytes, "grid row").data();
+        const char *cell = r.bytes(row_bytes, "grid row").data();
         MeasuredGrid::RowView row = grid.fillRow(s);
         for (std::size_t k = 0; k < settings; ++k, cell += cell_bytes) {
             row.seconds[k] = loadF64(cell);
@@ -413,64 +366,6 @@ readGridBody(ByteReader &r, std::uint32_t format)
     grid.sealAggregates();
     r.expectEnd();
     return grid;
-}
-
-std::string
-saveGridBinaryToString(const MeasuredGrid &grid)
-{
-    ByteWriter w;
-    for (const char c : kGridBinaryMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(gridBodyFormat(grid));
-    const std::size_t size_at = w.size();
-    w.u64(0);  // payload size and checksum, filled in below
-    w.u64(0);
-    writeGridBody(w, grid);
-    const std::string_view payload =
-        std::string_view(w.bytes()).substr(kBinaryHeaderBytes);
-    const std::uint64_t checksum = fnv1aString(kFnvOffsetBasis, payload);
-    w.patchU64(size_at, payload.size());
-    w.patchU64(size_at + 8, checksum);
-    return w.take();
-}
-
-void
-saveGridBinary(const MeasuredGrid &grid, std::ostream &os)
-{
-    const std::string bytes = saveGridBinaryToString(grid);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!os)
-        fatal("grid snapshot: write failed");
-}
-
-MeasuredGrid
-loadGridBinary(std::istream &is)
-{
-    char fixed[kBinaryHeaderBytes] = {};
-    is.read(fixed, sizeof(fixed));
-    const BinaryHeader header = readBinaryHeader(
-        std::string_view(fixed, static_cast<std::size_t>(is.gcount())));
-
-    std::string payload(static_cast<std::size_t>(header.payloadSize), '\0');
-    is.read(payload.data(),
-            static_cast<std::streamsize>(payload.size()));
-    if (static_cast<std::uint64_t>(is.gcount()) != header.payloadSize)
-        fatal("grid snapshot: truncated payload (expected ",
-              header.payloadSize, " bytes, got ", is.gcount(), ")");
-    return readBinaryPayload(payload, header);
-}
-
-MeasuredGrid
-loadGridBinaryFromString(const std::string &bytes)
-{
-    const BinaryHeader header = readBinaryHeader(bytes);
-    const std::string_view payload =
-        std::string_view(bytes).substr(kBinaryHeaderBytes);
-    if (payload.size() < header.payloadSize)
-        fatal("grid snapshot: truncated payload (expected ",
-              header.payloadSize, " bytes, got ", payload.size(), ")");
-    return readBinaryPayload(payload.substr(0, header.payloadSize),
-                             header);
 }
 
 } // namespace mcdvfs

@@ -24,14 +24,14 @@
  *
  * The binary grid body (writeGridBody / readGridBody) is the one
  * binary grid codec: common/binio.hh fields, doubles by bit pattern,
- * so a round trip is bit-identical by construction.  Two containers
- * wrap it.  The binary snapshot here puts an 8-byte magic, the body
- * format as its version word, the payload length and a byte-wise
- * FNV-1a checksum of the payload in front of it; the daemon's
- * snapshot store (daemon/snapshot_store.hh) embeds it in its own
- * checksummed container.  The loaders reject truncated, corrupt, or
- * version-mismatched input with a FatalError carrying a specific
- * diagnostic — never UB, never a silently partial grid.
+ * so a round trip is bit-identical by construction.  One container
+ * wraps it: the daemon's snapshot store (daemon/snapshot_store.hh)
+ * writes the body format word and the body inside its checksummed,
+ * keyed snapshot file.  The body carries no checksum of its own, so
+ * detecting corruption is the container's job; readGridBody rejects
+ * an unknown format word, truncated or trailing bytes and any
+ * implausible field with a FatalError carrying a specific diagnostic
+ * — never UB, never a silently partial grid.
  */
 
 #ifndef MCDVFS_SIM_GRID_IO_HH
@@ -66,7 +66,7 @@ MeasuredGrid loadGridFromString(const std::string &text);
 ///@{
 
 /**
- * Body format @c grid is written in, which the container records:
+ * Body format @c grid is written in, which its container records:
  * 1 for two-domain grids (byte-identical to historical snapshots), 2
  * for three-domain grids (GPU ladder, two GPU profile fields, a sixth
  * cell column).  The body itself does not say which it is.
@@ -78,43 +78,10 @@ void writeGridBody(ByteWriter &w, const MeasuredGrid &grid);
 
 /**
  * Parse a body of @c format in place; it must run to the end of @c r.
- * @throws FatalError on an unknown format or any malformed field.
+ * @throws FatalError on a format other than 1 or 2, a truncated body,
+ *         trailing bytes, or any implausible field.
  */
 MeasuredGrid readGridBody(ByteReader &r, std::uint32_t format);
-///@}
-
-/** @name Binary snapshots (checksummed, bit-identical round trip). */
-///@{
-
-/** Magic leading every binary grid snapshot. */
-inline constexpr char kGridBinaryMagic[8] = {'m', 'c', 'd', 'v',
-                                             'f', 's', 'G', 'B'};
-
-/**
- * Newest supported binary snapshot version, which is the body format
- * (gridBodyFormat): v1 for two-domain grids, v2 for three-domain
- * grids.  The loaders accept both.
- */
-inline constexpr std::uint32_t kGridBinaryVersion = 2;
-
-/** Serialize @c grid as a checksummed binary snapshot. */
-void saveGridBinary(const MeasuredGrid &grid, std::ostream &os);
-
-/** Serialize to a string (convenience). */
-std::string saveGridBinaryToString(const MeasuredGrid &grid);
-
-/**
- * Parse a binary snapshot previously produced by saveGridBinary.
- *
- * @throws FatalError with a specific diagnostic on a bad magic, an
- *         unsupported version, a truncated header or payload, a
- *         checksum mismatch, or any malformed field — the grid is
- *         never partially loaded.
- */
-MeasuredGrid loadGridBinary(std::istream &is);
-
-/** Parse from a string, in place (no copy of the payload). */
-MeasuredGrid loadGridBinaryFromString(const std::string &bytes);
 ///@}
 
 } // namespace mcdvfs

@@ -137,8 +137,7 @@ fuzzStoredGrid(const MeasuredGrid &grid, const std::string &tag,
     writeFile(path, pristine);
     const auto loaded = store.loadGrid(key);
     ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(saveGridBinaryToString(*loaded),
-              saveGridBinaryToString(grid));
+    EXPECT_EQ(test::gridBytes(*loaded), test::gridBytes(grid));
     EXPECT_EQ(store.stats().loadErrors, expected_errors);
     fs::remove_all(dir);
 }

@@ -149,8 +149,7 @@ TEST(SnapshotStore, GridRoundTripIsBitIdentical)
     store.storeGrid(key, test::phasedGrid());
     const auto loaded = store.loadGrid(key);
     ASSERT_NE(loaded, nullptr);
-    EXPECT_EQ(saveGridBinaryToString(*loaded),
-              saveGridBinaryToString(test::phasedGrid()));
+    EXPECT_EQ(test::gridBytes(*loaded), test::gridBytes(test::phasedGrid()));
 
     const SnapshotStore::Stats stats = store.stats();
     EXPECT_EQ(stats.gridStores, 1u);

@@ -4,8 +4,8 @@
  * bit-for-bit, admission control sheds (queue-full and draining),
  * drain completes every admitted request, a warm restart answers
  * from the snapshot store, a failed snapshot write does not fail the
- * request, an invalid request fails alone, and the journal's class id
- * is the FNV-1a of the workload name.
+ * request, an invalid request fails alone and is counted as failed,
+ * and the journal's class id is the FNV-1a of the workload name.
  */
 
 #include <gtest/gtest.h>
@@ -102,8 +102,11 @@ TEST(TuningDaemon, MatchesDirectServiceBitForBit)
     DaemonResponse response = daemon.submit(tinyRequest()).get();
     ASSERT_TRUE(response.ok());
     ASSERT_NE(response.result.grid, nullptr);
-    EXPECT_GT(response.totalNs, 0u);
-    EXPECT_GT(response.gridNs, 0u);
+    if (obs::kMetricsEnabled) {
+        // Stage clocks read zero when metrics are compiled out.
+        EXPECT_GT(response.totalNs, 0u);
+        EXPECT_GT(response.gridNs, 0u);
+    }
     EXPECT_FALSE(response.result.cacheHit);
 
     svc::CharacterizationService direct(fastConfig());
@@ -316,6 +319,32 @@ TEST(TuningDaemon, InvalidRequestFailsAloneInItsBatch)
     const DaemonResponse after = daemon.submit(tinyRequest("other")).get();
     ASSERT_TRUE(after.ok());
     EXPECT_FALSE(after.result.regions.empty());
+}
+
+TEST(TuningDaemon, CountsFailedRequests)
+{
+    const obs::Counter failed_series =
+        obs::MetricsRegistry::global().counter("daemon.failed");
+    const std::uint64_t failed0 = failed_series.value();
+
+    TuningDaemon daemon(fastConfig());
+    svc::TuningRequest nan_budget = tinyRequest();
+    nan_budget.budget = std::numeric_limits<double>::quiet_NaN();
+    std::future<DaemonResponse> valid = daemon.submit(tinyRequest());
+    std::future<DaemonResponse> invalid = daemon.submit(nan_budget);
+    daemon.drain();
+    EXPECT_TRUE(valid.get().ok());
+    EXPECT_THROW(invalid.get(), FatalError);
+
+    // The failed request is counted: admitted == completed + failed.
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.admitted, 2u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.shedQueueFull + stats.shedDraining, 0u);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(failed_series.value() - failed0, 1u);
+    }
 }
 
 TEST(TuningDaemon, JournalClassIdIsTheFnv1aOfTheWorkload)

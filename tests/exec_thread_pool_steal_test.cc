@@ -179,6 +179,8 @@ TEST(ThreadPoolSteal, StealCountersAdvance)
     // With helpers in play every participant sweeps the other strips
     // at least once before exiting, so the attempts counter must
     // advance; chunks_stolen never exceeds the chunks of the loop.
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "metrics disabled in this build";
     exec::ThreadPool pool(2);
     const std::uint64_t attempts_before =
         counterValue("exec.steal.attempts");

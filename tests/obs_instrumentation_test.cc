@@ -13,6 +13,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
@@ -462,6 +463,129 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
               analysisLoads0 + 1);
     EXPECT_EQ(counterValue("daemon.snapshot.load_errors"), loadErrors0);
     EXPECT_EQ(histogramCount("daemon.snapshot.load_ns"), loadNs0 + 2);
+    std::filesystem::remove_all(dir);
+}
+
+/** Every counter series of the global registry, by canonical name. */
+std::map<std::string, std::uint64_t>
+counterSeries()
+{
+    std::map<std::string, std::uint64_t> values;
+    for (const auto &[name, value] :
+         obs::MetricsRegistry::global().snapshot().counters)
+        values[name] = value;
+    return values;
+}
+
+/**
+ * Every counted stats() field of @c server, its snapshot store and its
+ * service's caches, keyed by the series the field's OwnedCounter feeds.
+ */
+std::map<std::string, std::uint64_t>
+ownedCounts(daemon::TuningDaemon &server)
+{
+    const daemon::DaemonStats daemon = server.stats();
+    const daemon::SnapshotStore::Stats store = server.store()->stats();
+    std::map<std::string, std::uint64_t> counts = {
+        {"daemon.admitted", daemon.admitted},
+        {"daemon.shed{reason=queue_full}", daemon.shedQueueFull},
+        {"daemon.shed{reason=draining}", daemon.shedDraining},
+        {"daemon.batches", daemon.batches},
+        {"daemon.coalesced", daemon.coalesced},
+        {"daemon.completed", daemon.completed},
+        {"daemon.failed", daemon.failed},
+        {"daemon.analysis_resumed", daemon.analysisResumed},
+        {"daemon.snapshot.grid_stores", store.gridStores},
+        {"daemon.snapshot.grid_loads", store.gridLoads},
+        {"daemon.snapshot.analysis_stores", store.analysisStores},
+        {"daemon.snapshot.analysis_loads", store.analysisLoads},
+        {"daemon.snapshot.load_errors", store.loadErrors},
+        {"daemon.snapshot.store_errors", store.storeErrors},
+    };
+    const auto add_cache = [&counts](const std::string &prefix,
+                                     const auto &stats) {
+        counts[prefix + ".hits"] = stats.hits;
+        counts[prefix + ".misses"] = stats.misses;
+        counts[prefix + ".evictions"] = stats.evictions;
+    };
+    const svc::CharacterizationService &service = server.service();
+    add_cache("svc.cache", service.cacheStats());
+    add_cache("svc.analysis", service.analysisStats());
+    add_cache("svc.checkpoint", service.checkpointStats());
+    add_cache("svc.profile", service.profileStats());
+    return counts;
+}
+
+/** Each owned count must equal its series' movement since @c before. */
+void
+expectStatsEqualTheirSeries(
+    daemon::TuningDaemon &server,
+    const std::map<std::string, std::uint64_t> &before)
+{
+    const std::map<std::string, std::uint64_t> after = counterSeries();
+    const auto read = [](const std::map<std::string, std::uint64_t> &values,
+                         const std::string &name) -> std::uint64_t {
+        const auto it = values.find(name);
+        return it == values.end() ? 0 : it->second;
+    };
+    for (const auto &[name, owned] : ownedCounts(server))
+        EXPECT_EQ(read(after, name) - read(before, name), owned) << name;
+}
+
+TEST(ObsInstrumentation, StatsEqualTheirSeries)
+{
+    REQUIRE_METRICS_ON();
+    // Drive one daemon with a store through misses, hits, an analysis
+    // eviction, a failure and a shed, then warm-restart it over a
+    // store holding one corrupt file and lose the directory under it:
+    // every counted stats() field must equal its series' delta.
+    const std::string dir = "obs_stats_store";
+    std::filesystem::remove_all(dir);
+    daemon::DaemonOptions options;
+    options.service.jobs = 2;
+    options.service.analysisCapacity = 1;
+    options.service.profileCacheCapacity = 256;
+    options.storeDir = dir;
+    const svc::TuningRequest request{test::steadyWorkload(),
+                                     SettingsSpace::coarse(), 1.3, 0.03};
+    svc::TuningRequest other_budget = request;
+    other_budget.budget = 1.6;
+    svc::TuningRequest nan_budget = request;
+    nan_budget.budget = std::nan("");
+
+    std::map<std::string, std::uint64_t> before = counterSeries();
+    {
+        daemon::TuningDaemon server(test::fastSystemConfig(), options);
+        EXPECT_TRUE(server.submit(request).get().ok());
+        EXPECT_TRUE(server.submit(request).get().result.analysisCacheHit);
+        EXPECT_TRUE(server.submit(other_budget).get().ok());
+        EXPECT_THROW(server.submit(nan_budget).get(), FatalError);
+        server.drain();
+        EXPECT_EQ(server.submit(request).get().shed,
+                  daemon::ShedReason::Draining);
+
+        const daemon::DaemonStats stats = server.stats();
+        EXPECT_EQ(stats.failed, 1u);
+        EXPECT_EQ(stats.admitted, stats.completed + stats.failed);
+        EXPECT_GE(server.service().analysisStats().evictions, 1u);
+        EXPECT_GE(server.service().profileStats().misses, 1u);
+        expectStatsEqualTheirSeries(server, before);
+    }
+
+    std::ofstream(dir + "/grid-00000000deadbeef.snap") << "not a snapshot";
+    before = counterSeries();
+    {
+        daemon::TuningDaemon restarted(test::fastSystemConfig(), options);
+        EXPECT_EQ(restarted.stats().warmGrids, 1u);
+        EXPECT_EQ(restarted.store()->stats().loadErrors, 1u);
+        std::filesystem::remove_all(dir);
+        svc::TuningRequest new_budget = request;
+        new_budget.budget = 1.9;
+        EXPECT_TRUE(restarted.submit(new_budget).get().result.cacheHit);
+        restarted.drain();
+        EXPECT_GE(restarted.store()->stats().storeErrors, 1u);
+        expectStatsEqualTheirSeries(restarted, before);
+    }
     std::filesystem::remove_all(dir);
 }
 

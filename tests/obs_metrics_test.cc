@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the obs metrics layer: registration semantics,
- * counter/gauge/histogram behavior, ScopedTimer, reset, and the
- * lock-free striped write path under concurrent writers.
+ * counter/gauge/histogram behavior, ScopedTimer, reset, the lock-free
+ * striped write path under concurrent writers, and OwnedCounter (one
+ * add moves an object's own count and its series).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -235,6 +237,89 @@ TEST(ObsStripes, ConcurrentCountersLoseNothing)
     EXPECT_EQ(histogram.count(), kThreads * kPerThread);
     // sum of i%7 over i in [0,5000): 714 cycles of 21 plus 0+1 = 14995.
     EXPECT_EQ(histogram.sum(), kThreads * 14'995u);
+}
+
+/** A global-registry counter series, labeled when @c labels is set. */
+obs::Counter
+series(const std::string &name, const obs::MetricLabels &labels = {})
+{
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    return labels.empty() ? reg.counter(name) : reg.counter(name, labels);
+}
+
+// The owned half of an OwnedCounter is live in every build, so these
+// tests run with metrics compiled out too; only the series checks
+// need instrumentation.
+
+TEST(ObsOwnedCounter, AddMovesTheOwnedValueAndItsSeries)
+{
+    const obs::Counter total = series("test.owned.add");
+    const std::uint64_t total0 = total.value();
+    obs::OwnedCounter owned("test.owned.add");
+    EXPECT_EQ(owned.value(), 0u);
+    owned.add();
+    owned.add(41);
+    EXPECT_EQ(owned.value(), 42u);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(total.value() - total0, 42u);
+    }
+}
+
+TEST(ObsOwnedCounter, LabeledOwnerFeedsItsLabeledSeries)
+{
+    const obs::Counter labeled =
+        series("test.owned.shed", {{"reason", "full"}});
+    const obs::Counter unlabeled = series("test.owned.shed");
+    const std::uint64_t labeled0 = labeled.value();
+    const std::uint64_t unlabeled0 = unlabeled.value();
+
+    obs::OwnedCounter owned("test.owned.shed", {{"reason", "full"}});
+    owned.add(3);
+    EXPECT_EQ(owned.value(), 3u);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(labeled.value() - labeled0, 3u);
+    }
+    EXPECT_EQ(unlabeled.value(), unlabeled0);
+}
+
+TEST(ObsOwnedCounter, OwnersOfOneSeriesEachKeepTheirOwnCount)
+{
+    const obs::Counter total = series("test.owned.shared");
+    const std::uint64_t total0 = total.value();
+    obs::OwnedCounter first("test.owned.shared");
+    obs::OwnedCounter second("test.owned.shared");
+    first.add(2);
+    second.add(5);
+    EXPECT_EQ(first.value(), 2u);
+    EXPECT_EQ(second.value(), 5u);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(total.value() - total0, 7u);
+    }
+}
+
+TEST(ObsOwnedCounter, ConcurrentAddsSumExactly)
+{
+    const obs::Counter total = series("test.owned.concurrent");
+    const std::uint64_t total0 = total.value();
+    obs::OwnedCounter owned("test.owned.concurrent");
+
+    constexpr std::size_t kThreads = 4;
+    constexpr std::uint64_t kPerThread = 10'000;
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            for (std::uint64_t i = 0; i < kPerThread; ++i)
+                owned.add();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(owned.value(), kThreads * kPerThread);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(total.value() - total0, kThreads * kPerThread);
+    }
 }
 
 } // namespace

@@ -1,14 +1,18 @@
 /**
  * @file
- * Randomized robustness tests for the binary grid snapshot loader.
+ * Randomized robustness tests for the binary grid body loader
+ * (readGridBody, through test::gridFromBytes).
  *
- * A snapshot read off disk can be truncated (crash mid-copy) or
- * corrupted (bit rot, torn write) at any byte.  The loader's contract
- * is that every such input raises FatalError with a diagnostic — never
- * UB, never a silently partial grid.  These tests take pristine
- * two-domain (v1) and three-domain (v2) snapshots and replay them
- * through randomized truncation at every header byte plus sampled
- * payload lengths, and single-byte XOR corruption at sampled offsets;
+ * A body read off disk can be truncated (crash mid-copy) or corrupted
+ * (bit rot, torn write) at any byte.  The body must run to its end, so
+ * every truncation and every trailing byte raises FatalError with a
+ * diagnostic — never UB, never a silently partial grid.  The body
+ * carries no checksum (its container, the snapshot store, does), so a
+ * flipped byte may load as a different grid; for those the contract
+ * is only that nothing but FatalError escapes.  These tests take
+ * pristine two-domain (format 1) and three-domain (format 2) bytes
+ * and replay them through truncation at every leading byte plus
+ * sampled lengths, and single-byte XOR corruption at sampled offsets;
  * the sanitize script runs this binary under ASan/UBSan so "never UB"
  * is machine-checked, not asserted.
  */
@@ -44,27 +48,27 @@ gpuGrid()
 void
 expectRejected(const std::string &bytes, const char *what)
 {
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError) << what;
+    EXPECT_THROW(test::gridFromBytes(bytes), FatalError) << what;
 }
 
 void
 fuzzSnapshot(const MeasuredGrid &grid, std::uint64_t seed)
 {
-    const std::string pristine = saveGridBinaryToString(grid);
+    const std::string pristine = test::gridBytes(grid);
     ASSERT_GT(pristine.size(), 64u);
 
     // The pristine bytes round-trip bit-identically (the baseline the
     // rejections below are measured against).
-    EXPECT_EQ(saveGridBinaryToString(loadGridBinaryFromString(pristine)),
-              pristine);
+    EXPECT_EQ(test::gridBytes(test::gridFromBytes(pristine)), pristine);
 
-    // Truncation at every header byte: magic, version, length and
-    // checksum words all live in the first 64 bytes.
+    // Truncation at every leading byte: the format word, the workload
+    // name, the sample and instruction counts and the first ladder
+    // words all live in the first 64 bytes.
     for (std::size_t len = 0; len < 64; ++len)
         expectRejected(pristine.substr(0, len), "header truncation");
 
-    // Truncation at sampled payload lengths (every prefix would be
-    // quadratic in snapshot size; 256 random cuts plus the last bytes
+    // Truncation at sampled body lengths (every prefix would be
+    // quadratic in body size; 256 random cuts plus the last bytes
     // cover the interesting boundaries).
     Rng rng(seed);
     for (int i = 0; i < 256; ++i) {
@@ -76,22 +80,26 @@ fuzzSnapshot(const MeasuredGrid &grid, std::uint64_t seed)
                        "tail truncation");
     }
 
-    // Single-byte corruption at sampled offsets: header damage trips
-    // the magic/version/length checks, payload damage the checksum.
+    // Single-byte corruption at sampled offsets: a damaged format
+    // word, count or marker is rejected, while a damaged value may
+    // load as a different grid (the store's checksum rejects those).
+    // Either way nothing but FatalError may escape.
     for (int i = 0; i < 256; ++i) {
         std::string corrupt = pristine;
         const std::size_t pos = rng.uniformInt(corrupt.size());
         corrupt[pos] = static_cast<char>(
             corrupt[pos] ^
             static_cast<char>(1 + rng.uniformInt(255)));
-        expectRejected(corrupt, "single-byte corruption");
+        try {
+            test::gridFromBytes(corrupt);
+        } catch (const FatalError &) {
+        }
     }
 
-    // The length field pins the payload extent: bytes appended after
-    // it (stream framing) must not leak into the parse.
-    EXPECT_EQ(saveGridBinaryToString(loadGridBinaryFromString(
-                  pristine + std::string(16, '\0'))),
-              pristine);
+    // The body must run to its end: trailing bytes are rejected, not
+    // ignored.
+    expectRejected(pristine + std::string(1, '\0'), "one trailing byte");
+    expectRejected(pristine + std::string(16, '\0'), "trailing bytes");
 }
 
 TEST(GridIoFuzz, TwoDomainSnapshotNeverLoadsMalformedInput)
@@ -106,18 +114,18 @@ TEST(GridIoFuzz, ThreeDomainSnapshotNeverLoadsMalformedInput)
 
 TEST(GridIoFuzz, VersionSkewIsRejectedNotMisparsed)
 {
-    // A v2 (three-domain) snapshot whose version word is rewritten to
-    // v1 parses the payload with the wrong cell width; the payload
-    // plausibility check must reject it rather than shear the columns.
-    std::string bytes = saveGridBinaryToString(gpuGrid());
-    ASSERT_EQ(bytes[8], 2);  // version word, little-endian low byte
-    bytes[8] = 1;
-    expectRejected(bytes, "v2 masqueraded as v1");
+    // A format-2 (three-domain) body whose format word is rewritten to
+    // 1 parses with the wrong cell width; the body's checks must
+    // reject it rather than shear the columns.
+    std::string bytes = test::gridBytes(gpuGrid());
+    ASSERT_EQ(bytes[0], 2);  // format word, little-endian low byte
+    bytes[0] = 1;
+    expectRejected(bytes, "format 2 masqueraded as 1");
 
-    // Unknown future version.
-    std::string future = saveGridBinaryToString(test::phasedGrid());
-    future[8] = 0x7e;
-    expectRejected(future, "future version");
+    // Unknown future format.
+    std::string future = test::gridBytes(test::phasedGrid());
+    future[0] = 0x7e;
+    expectRejected(future, "future format");
 }
 
 TEST(GridIoFuzz, TextFormatRejectsTruncationAtLineGranularity)

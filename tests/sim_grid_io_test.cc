@@ -109,34 +109,34 @@ TEST(GridIo, RejectsOutOfRangeCell)
         FatalError);
 }
 
-// Binary snapshot layout (for the corruption tests below): 8-byte
-// magic, u32 version at offset 8, u64 payload size at 12, u64 payload
-// checksum at 20, payload from 28.
+// Binary grid layout (test::gridBytes, the payload of a store grid
+// snapshot): u32 body format word at offset 0, then the grid_io body,
+// which starts with the u32 length of the workload name.
 
 TEST(GridIoBinary, BytesMatchTheGolden)
 {
-    // The binary snapshot is a file format: pin its bytes, two-domain
-    // (v1) and three-domain (v2), on grids whose values involve no
-    // simulation.
+    // The binary grid body is a file format: pin its bytes, two-domain
+    // (format 1) and three-domain (format 2), on grids whose values
+    // involve no simulation.
     const std::string two =
-        saveGridBinaryToString(test::handGrid(SettingsSpace::coarse(), 3));
-    EXPECT_EQ(two.size(), 8906u);
-    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, two), 0x8bcb7d2d3f509b1dull);
+        test::gridBytes(test::handGrid(SettingsSpace::coarse(), 3));
+    EXPECT_EQ(two.size(), 8882u);
+    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, two), 0x1d7ed3ec613390fbull);
     const std::string three =
-        saveGridBinaryToString(test::handGrid(SettingsSpace::coarse3(), 3));
-    EXPECT_EQ(three.size(), 81262u);
-    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, three), 0x0ca05958d7bf6789ull);
+        test::gridBytes(test::handGrid(SettingsSpace::coarse3(), 3));
+    EXPECT_EQ(three.size(), 81238u);
+    EXPECT_EQ(fnv1aString(kFnvOffsetBasis, three), 0x64cf4d70cb2c37fdull);
 }
 
 TEST(GridIoBinary, RoundTripIsBitIdentical)
 {
     const MeasuredGrid &original = test::phasedGrid();
-    const std::string bytes = saveGridBinaryToString(original);
-    const MeasuredGrid loaded = loadGridBinaryFromString(bytes);
+    const std::string bytes = test::gridBytes(original);
+    const MeasuredGrid loaded = test::gridFromBytes(bytes);
 
     // Doubles travel by bit pattern, so re-serializing the loaded grid
-    // must reproduce the snapshot byte for byte.
-    EXPECT_EQ(saveGridBinaryToString(loaded), bytes);
+    // must reproduce the bytes exactly.
+    EXPECT_EQ(test::gridBytes(loaded), bytes);
 
     EXPECT_EQ(loaded.workload(), original.workload());
     EXPECT_EQ(loaded.sampleCount(), original.sampleCount());
@@ -148,7 +148,7 @@ TEST(GridIoBinary, AnalysesAgreeAfterRoundTrip)
 {
     const MeasuredGrid &original = test::phasedGrid();
     const MeasuredGrid loaded =
-        loadGridBinaryFromString(saveGridBinaryToString(original));
+        test::gridFromBytes(test::gridBytes(original));
     InefficiencyAnalysis a(original);
     InefficiencyAnalysis b(loaded);
     EXPECT_DOUBLE_EQ(a.eminTotal(), b.eminTotal());
@@ -157,42 +157,34 @@ TEST(GridIoBinary, AnalysesAgreeAfterRoundTrip)
 
 TEST(GridIoBinary, RejectsTruncatedHeader)
 {
-    EXPECT_THROW(loadGridBinaryFromString(""), FatalError);
-    EXPECT_THROW(loadGridBinaryFromString("mcdvfs"), FatalError);
-    std::string bytes = saveGridBinaryToString(test::phasedGrid());
-    bytes.resize(20);  // cuts the header mid-checksum
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError);
-}
-
-TEST(GridIoBinary, RejectsBadMagic)
-{
-    std::string bytes = saveGridBinaryToString(test::phasedGrid());
-    bytes[0] = 'X';
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError);
+    EXPECT_THROW(test::gridFromBytes(""), FatalError);
+    EXPECT_THROW(test::gridFromBytes("mcd"), FatalError);
+    std::string bytes = test::gridBytes(test::phasedGrid());
+    bytes.resize(20);  // cuts the body mid-sample-count
+    EXPECT_THROW(test::gridFromBytes(bytes), FatalError);
 }
 
 TEST(GridIoBinary, RejectsUnsupportedVersion)
 {
-    std::string bytes = saveGridBinaryToString(test::phasedGrid());
-    bytes[8] = static_cast<char>(0xEE);  // low byte of the version word
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError);
+    std::string bytes = test::gridBytes(test::phasedGrid());
+    bytes[0] = static_cast<char>(0xEE);  // low byte of the format word
+    EXPECT_THROW(test::gridFromBytes(bytes), FatalError);
+    bytes[0] = 0;
+    EXPECT_THROW(test::gridFromBytes(bytes), FatalError);
 }
 
 TEST(GridIoBinary, RejectsTruncatedPayload)
 {
-    std::string bytes = saveGridBinaryToString(test::phasedGrid());
+    std::string bytes = test::gridBytes(test::phasedGrid());
     bytes.resize(bytes.size() - 3);
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError);
-}
+    EXPECT_THROW(test::gridFromBytes(bytes), FatalError);
 
-TEST(GridIoBinary, RejectsCorruptPayload)
-{
-    std::string bytes = saveGridBinaryToString(test::phasedGrid());
-    bytes[bytes.size() - 1] ^= 0x01;  // checksum no longer matches
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError);
-    bytes = saveGridBinaryToString(test::phasedGrid());
-    bytes[40] ^= 0x40;  // flip a payload bit near the front
-    EXPECT_THROW(loadGridBinaryFromString(bytes), FatalError);
+    // A sample count the bytes left cannot hold is rejected before a
+    // grid is allocated for it.
+    bytes = test::gridBytes(test::phasedGrid());
+    const std::size_t samples_at = 8 + test::phasedGrid().workload().size();
+    bytes[samples_at + 2] ^= 0x01;  // 12 samples become 65,548
+    EXPECT_THROW(test::gridFromBytes(bytes), FatalError);
 }
 
 } // namespace

@@ -2,12 +2,18 @@
  * @file
  * Shared fixtures for the analysis-layer tests: a small but realistic
  * measured grid (alternating CPU/memory phases) built once per test
- * binary, plus a uniform-phase variant.
+ * binary, a uniform-phase variant, a formula-built grid, and a grid's
+ * binary form for byte-level comparisons.
  */
 
 #ifndef MCDVFS_TESTS_TEST_GRID_HH
 #define MCDVFS_TESTS_TEST_GRID_HH
 
+#include <string>
+#include <string_view>
+
+#include "common/binio.hh"
+#include "sim/grid_io.hh"
 #include "sim/grid_runner.hh"
 #include "trace/workloads.hh"
 
@@ -107,6 +113,28 @@ handGrid(const SettingsSpace &space, std::size_t samples)
     }
     grid.setProfiles(std::move(profiles));
     return grid;
+}
+
+/**
+ * @c grid's binary form: its body format word, then its grid_io body
+ * (a grid snapshot's payload), for byte-level comparisons.
+ */
+inline std::string
+gridBytes(const MeasuredGrid &grid)
+{
+    ByteWriter w;
+    w.u32(gridBodyFormat(grid));
+    writeGridBody(w, grid);
+    return w.take();
+}
+
+/** Parse gridBytes() output; the body must run to the end. */
+inline MeasuredGrid
+gridFromBytes(std::string_view bytes)
+{
+    ByteReader r(bytes, "grid bytes");
+    const std::uint32_t format = r.u32();
+    return readGridBody(r, format);
 }
 
 } // namespace test
