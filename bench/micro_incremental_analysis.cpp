@@ -86,7 +86,6 @@ makeGrid(const std::string &name, const SettingsSpace &space,
         }
         grid.updateSampleAggregates(s);
     }
-    grid.sealAggregates();
     return grid;
 }
 

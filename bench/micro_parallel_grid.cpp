@@ -172,7 +172,6 @@ syntheticGrid(std::size_t samples, std::uint64_t seed)
         profiles[s].phaseName = "phase-" + std::to_string(s % 4);
         profiles[s].baseCpi = 1.0 + rng.uniform();
     }
-    grid.sealAggregates();
     grid.setProfiles(std::move(profiles));
     return grid;
 }

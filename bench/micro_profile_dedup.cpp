@@ -118,18 +118,11 @@ requireSameProfiles(const std::vector<SampleProfile> &a,
     if (a.size() != b.size())
         fatal("profile dedup bench: ", what, ": profile counts differ");
     for (std::size_t s = 0; s < a.size(); ++s) {
-        if (a[s].baseCpi != b[s].baseCpi ||
-            a[s].activity != b[s].activity || a[s].mlp != b[s].mlp ||
-            a[s].l1Mpki != b[s].l1Mpki || a[s].l2Mpki != b[s].l2Mpki ||
-            a[s].l2PerInstr != b[s].l2PerInstr ||
-            a[s].dramReadsPerInstr != b[s].dramReadsPerInstr ||
-            a[s].dramWritesPerInstr != b[s].dramWritesPerInstr ||
-            a[s].dramPrefetchPerInstr != b[s].dramPrefetchPerInstr ||
-            a[s].rowHitFrac != b[s].rowHitFrac ||
-            a[s].rowClosedFrac != b[s].rowClosedFrac ||
-            a[s].rowConflictFrac != b[s].rowConflictFrac)
-            fatal("profile dedup bench: ", what,
-                  ": profiles diverge at sample ", s);
+        for (const auto rate : kProfileRates) {
+            if (a[s].*rate != b[s].*rate)
+                fatal("profile dedup bench: ", what,
+                      ": profiles diverge at sample ", s);
+        }
     }
 }
 

@@ -10,15 +10,10 @@ namespace mcdvfs
 InefficiencyAnalysis::InefficiencyAnalysis(const MeasuredGrid &grid)
     : grid_(grid)
 {
-    const std::size_t samples = grid.sampleCount();
-    sampleEmin_.resize(samples);
-    sampleSlowest_.resize(samples);
-    for (std::size_t s = 0; s < samples; ++s) {
-        sampleEmin_[s] = grid.sampleEmin(s);
-        sampleSlowest_[s] = grid.sampleSlowest(s);
-        MCDVFS_ASSERT(sampleEmin_[s] > 0.0,
+    // A row its writer never finished reads Emin 0.
+    for (std::size_t s = 0; s < grid.sampleCount(); ++s)
+        MCDVFS_ASSERT(grid.sampleEmin(s) > 0.0,
                       "sample energy must be positive");
-    }
 }
 
 void
@@ -43,28 +38,14 @@ double
 InefficiencyAnalysis::sampleInefficiency(std::size_t sample,
                                          std::size_t setting) const
 {
-    return grid_.energyAt(sample, setting) / sampleEmin_[sample];
+    return grid_.energyAt(sample, setting) / grid_.sampleEmin(sample);
 }
 
 double
 InefficiencyAnalysis::sampleSpeedup(std::size_t sample,
                                     std::size_t setting) const
 {
-    return sampleSlowest_[sample] / grid_.secondsAt(sample, setting);
-}
-
-Joules
-InefficiencyAnalysis::sampleEmin(std::size_t sample) const
-{
-    MCDVFS_ASSERT(sample < sampleEmin_.size(), "sample out of range");
-    return sampleEmin_[sample];
-}
-
-Seconds
-InefficiencyAnalysis::sampleSlowest(std::size_t sample) const
-{
-    MCDVFS_ASSERT(sample < sampleSlowest_.size(), "sample out of range");
-    return sampleSlowest_[sample];
+    return grid_.sampleSlowest(sample) / grid_.secondsAt(sample, setting);
 }
 
 double

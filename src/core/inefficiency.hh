@@ -7,6 +7,10 @@
  * predictor lives in src/runtime/.  Inefficiency is computed both per
  * sample (for budget-constrained tuning, §V-§VI) and for the whole run
  * at a fixed setting (Fig. 2).
+ *
+ * The per-sample Emin and slowest time have one copy, the grid's
+ * (MeasuredGrid records them as each row is finished); this class
+ * holds only the whole-run tables, built once on first use.
  */
 
 #ifndef MCDVFS_CORE_INEFFICIENCY_HH
@@ -30,8 +34,9 @@ class InefficiencyAnalysis
 {
   public:
     /**
-     * Precompute per-sample Emin/slowest-time and whole-run
-     * aggregates by brute force over the grid.
+     * Inefficiency and speedup over @c grid.  The per-sample Emin and
+     * slowest time are the grid's own (recorded as its rows were
+     * finished); the whole-run tables are built on first use.
      *
      * The grid must outlive this analysis.
      */
@@ -50,11 +55,19 @@ class InefficiencyAnalysis
      */
     double sampleSpeedup(std::size_t sample, std::size_t setting) const;
 
-    /** Brute-force per-sample Emin. */
-    Joules sampleEmin(std::size_t sample) const;
+    /** Brute-force per-sample Emin (MeasuredGrid::sampleEmin). */
+    Joules
+    sampleEmin(std::size_t sample) const
+    {
+        return grid_.sampleEmin(sample);
+    }
 
-    /** Slowest execution of a sample over all settings. */
-    Seconds sampleSlowest(std::size_t sample) const;
+    /** Slowest execution of a sample (MeasuredGrid::sampleSlowest). */
+    Seconds
+    sampleSlowest(std::size_t sample) const
+    {
+        return grid_.sampleSlowest(sample);
+    }
 
     /** Whole-run inefficiency of a fixed setting (Fig. 2 y-axis). */
     double runInefficiency(std::size_t setting) const;
@@ -85,8 +98,6 @@ class InefficiencyAnalysis
     void ensureRunAggregates() const;
 
     const MeasuredGrid &grid_;
-    std::vector<Joules> sampleEmin_;
-    std::vector<Seconds> sampleSlowest_;
     mutable std::once_flag runAggregatesOnce_;
     mutable std::vector<Joules> runEnergy_;
     mutable std::vector<Seconds> runTime_;

@@ -129,12 +129,18 @@ readChoice(ByteReader &r)
     return choice;
 }
 
-/** Guard a deserialized element count against corrupt length words. */
+/**
+ * Read an element count whose elements take at least @c min_bytes
+ * each: a count the bytes left cannot hold is corrupt, and is rejected
+ * before anything is reserved for it.
+ */
 std::uint32_t
-checkedCount(std::uint32_t count, const char *what)
+checkedCount(ByteReader &r, std::size_t min_bytes, const char *what)
 {
-    if (count > 100'000'000)
-        fatal("analysis snapshot: implausible ", what, " count ", count);
+    const std::uint32_t count = r.u32();
+    if (count > r.remaining() / min_bytes)
+        fatal("analysis snapshot: ", what, " count ", count,
+              " needs more than the ", r.remaining(), " bytes left");
     return count;
 }
 
@@ -152,7 +158,7 @@ writeIndices(ByteWriter &w, const std::vector<std::size_t> &indices)
 std::vector<std::size_t>
 readIndices(ByteReader &r, const char *what)
 {
-    const std::uint32_t count = checkedCount(r.u32(), what);
+    const std::uint32_t count = checkedCount(r, 8, what);
     const char *words = r.bytes(std::size_t{count} * 8, what).data();
     std::vector<std::size_t> indices(count);
     for (std::uint32_t i = 0; i < count; ++i)
@@ -191,12 +197,15 @@ parseAnalysisPayload(std::string_view payload)
     ByteReader r(payload, "analysis snapshot");
     svc::AnalysisResult result;
 
-    const std::uint32_t optima = checkedCount(r.u32(), "optimal");
+    // Minimum encoded sizes: a choice is one u64 and five f64 (48 B);
+    // a cluster is a choice and an index count (52 B); a region is
+    // three u64, an index count and three f64 (52 B).
+    const std::uint32_t optima = checkedCount(r, 48, "optimal");
     result.optimal.reserve(optima);
     for (std::uint32_t i = 0; i < optima; ++i)
         result.optimal.push_back(readChoice(r));
 
-    const std::uint32_t clusters = checkedCount(r.u32(), "cluster");
+    const std::uint32_t clusters = checkedCount(r, 52, "cluster");
     result.clusters.reserve(clusters);
     for (std::uint32_t i = 0; i < clusters; ++i) {
         PerformanceCluster cluster;
@@ -205,7 +214,7 @@ parseAnalysisPayload(std::string_view payload)
         result.clusters.push_back(std::move(cluster));
     }
 
-    const std::uint32_t regions = checkedCount(r.u32(), "region");
+    const std::uint32_t regions = checkedCount(r, 52, "region");
     result.regions.reserve(regions);
     for (std::uint32_t i = 0; i < regions; ++i) {
         StableRegion region;

@@ -78,9 +78,9 @@ BudgetArbiter::BudgetArbiter(const ClusterFinder &clusters, double budget,
     : clusters_(clusters), budget_(budget), threshold_(threshold),
       table_(std::move(table)), priority_(priority)
 {
-    if (budget < 1.0)
+    if (!(budget >= 1.0))  // NaN fails too
         fatal("budget arbiter: inefficiency budget must be >= 1");
-    if (threshold < 0.0)
+    if (!(threshold >= 0.0))  // NaN fails too
         fatal("budget arbiter: threshold must be >= 0");
 
     const SettingsSpace &spc = space();

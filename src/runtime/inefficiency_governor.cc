@@ -9,9 +9,9 @@ InefficiencyGovernor::InefficiencyGovernor(const ClusterFinder &clusters,
                                            double budget, double threshold)
     : clusters_(clusters), budget_(budget), threshold_(threshold)
 {
-    if (budget < 1.0)
+    if (!(budget >= 1.0))  // NaN fails too
         fatal("inefficiency governor: budget must be >= 1");
-    if (threshold < 0.0)
+    if (!(threshold >= 0.0))  // NaN fails too
         fatal("inefficiency governor: threshold must be >= 0");
 }
 

@@ -41,16 +41,9 @@ saveGrid(const MeasuredGrid &grid, std::ostream &os)
     if (grid.hasProfiles()) {
         for (std::size_t s = 0; s < grid.sampleCount(); ++s) {
             const SampleProfile &p = grid.profile(s);
-            os << "profile " << s << ' ' << p.baseCpi << ' '
-               << p.activity << ' ' << p.mlp << ' ' << p.l1Mpki << ' '
-               << p.l2Mpki << ' ' << p.l2PerInstr << ' '
-               << p.dramReadsPerInstr << ' ' << p.dramWritesPerInstr
-               << ' ' << p.dramPrefetchPerInstr << ' '
-               << p.rowHitFrac << ' ' << p.rowClosedFrac << ' '
-               << p.rowConflictFrac;
-            if (has_gpu)
-                os << ' ' << p.gpuWorkPerInstr << ' '
-                   << p.gpuActivity;
+            os << "profile " << s;
+            for (const auto rate : storedProfileRates(has_gpu))
+                os << ' ' << p.*rate;
             os << ' ' << p.phaseName << '\n';
         }
     }
@@ -136,16 +129,9 @@ loadGrid(std::istream &is)
         if (keyword == "profile") {
             SampleProfile p;
             std::size_t s = 0;
-            if (!(ls >> s >> p.baseCpi >> p.activity >> p.mlp >>
-                  p.l1Mpki >> p.l2Mpki >> p.l2PerInstr >>
-                  p.dramReadsPerInstr >> p.dramWritesPerInstr >>
-                  p.dramPrefetchPerInstr >> p.rowHitFrac >>
-                  p.rowClosedFrac >> p.rowConflictFrac)) {
-                fatal("grid io: malformed profile line");
-            }
-            if (has_gpu &&
-                !(ls >> p.gpuWorkPerInstr >> p.gpuActivity))
-                fatal("grid io: malformed profile line");
+            ls >> s;
+            for (const auto rate : storedProfileRates(has_gpu))
+                ls >> p.*rate;
             if (!(ls >> p.phaseName))
                 fatal("grid io: malformed profile line");
             if (s != profiles.size())
@@ -163,7 +149,13 @@ loadGrid(std::istream &is)
                 fatal("grid io: malformed cell line");
             if (s >= samples || k >= grid.settingCount())
                 fatal("grid io: cell index out of range");
-            grid.cell(s, k) = cell;
+            const MeasuredGrid::RowView row = grid.fillRow(s);
+            row.seconds[k] = cell.seconds;
+            row.cpuEnergy[k] = cell.cpuEnergy;
+            row.memEnergy[k] = cell.memEnergy;
+            row.busyFrac[k] = cell.busyFrac;
+            row.bwUtil[k] = cell.bwUtil;
+            row.gpuEnergy[k] = cell.gpuEnergy;
             ++cells_read;
         } else {
             fatal("grid io: unexpected token '", keyword, "'");
@@ -172,6 +164,8 @@ loadGrid(std::istream &is)
     if (cells_read != samples * grid.settingCount())
         fatal("grid io: expected ", samples * grid.settingCount(),
               " cells, got ", cells_read);
+    for (std::size_t s = 0; s < samples; ++s)
+        grid.updateSampleAggregates(s);
     if (!profiles.empty())
         grid.setProfiles(std::move(profiles));
     return grid;
@@ -210,7 +204,8 @@ writeGridBody(ByteWriter &w, const MeasuredGrid &grid)
     // column exist only in format 2.
     const bool has_gpu = gridBodyFormat(grid) == 2;
     const std::size_t doubles_per_cell = has_gpu ? 6 : 5;
-    const std::size_t doubles_per_profile = has_gpu ? 14 : 12;
+    const std::size_t doubles_per_profile =
+        storedProfileRates(has_gpu).size();
     // Cells and profiles are nearly all of it: one allocation (a
     // profile's phase name is budgeted at up to 60 bytes).
     w.reserve(grid.sampleCount() *
@@ -238,22 +233,8 @@ writeGridBody(ByteWriter &w, const MeasuredGrid &grid)
         for (std::size_t s = 0; s < grid.sampleCount(); ++s) {
             const SampleProfile &p = grid.profile(s);
             w.str(p.phaseName);
-            w.f64(p.baseCpi);
-            w.f64(p.activity);
-            w.f64(p.mlp);
-            w.f64(p.l1Mpki);
-            w.f64(p.l2Mpki);
-            w.f64(p.l2PerInstr);
-            w.f64(p.dramReadsPerInstr);
-            w.f64(p.dramWritesPerInstr);
-            w.f64(p.dramPrefetchPerInstr);
-            w.f64(p.rowHitFrac);
-            w.f64(p.rowClosedFrac);
-            w.f64(p.rowConflictFrac);
-            if (has_gpu) {
-                w.f64(p.gpuWorkPerInstr);
-                w.f64(p.gpuActivity);
-            }
+            for (const auto rate : storedProfileRates(has_gpu))
+                w.f64(p.*rate);
         }
     }
 
@@ -327,22 +308,8 @@ readGridBody(ByteReader &r, std::uint32_t format)
         for (std::uint64_t s = 0; s < samples; ++s) {
             SampleProfile &p = profiles[s];
             p.phaseName = r.str();
-            p.baseCpi = r.f64();
-            p.activity = r.f64();
-            p.mlp = r.f64();
-            p.l1Mpki = r.f64();
-            p.l2Mpki = r.f64();
-            p.l2PerInstr = r.f64();
-            p.dramReadsPerInstr = r.f64();
-            p.dramWritesPerInstr = r.f64();
-            p.dramPrefetchPerInstr = r.f64();
-            p.rowHitFrac = r.f64();
-            p.rowClosedFrac = r.f64();
-            p.rowConflictFrac = r.f64();
-            if (has_gpu) {
-                p.gpuWorkPerInstr = r.f64();
-                p.gpuActivity = r.f64();
-            }
+            for (const auto rate : storedProfileRates(has_gpu))
+                p.*rate = r.f64();
         }
         grid.setProfiles(std::move(profiles));
     }
@@ -363,7 +330,6 @@ readGridBody(ByteReader &r, std::uint32_t format)
         }
         grid.updateSampleAggregates(s);
     }
-    grid.sealAggregates();
     r.expectEnd();
     return grid;
 }

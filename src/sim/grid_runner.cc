@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -57,43 +56,28 @@ gridMetrics()
 }
 
 /**
- * Hash of the evaluation-relevant SampleProfile fields (everything the
- * kernel reads; phaseName excluded — it never reaches a cell value).
+ * Hash of a profile's rates, everything the kernel reads (phaseName
+ * never reaches a cell value).
  */
 std::uint64_t
 profileEvalHash(const SampleProfile &p)
 {
     std::uint64_t h = kFnvOffsetBasis;
-    for (const double v :
-         {p.baseCpi, p.activity, p.mlp, p.gpuWorkPerInstr,
-          p.gpuActivity, p.l1Mpki, p.l2Mpki, p.l2PerInstr,
-          p.dramReadsPerInstr, p.dramWritesPerInstr,
-          p.dramPrefetchPerInstr, p.rowHitFrac, p.rowClosedFrac,
-          p.rowConflictFrac})
-        h = fnv1aWordBytes(h, std::bit_cast<std::uint64_t>(v));
+    for (const auto rate : kProfileRates)
+        h = fnv1aWordBytes(h, std::bit_cast<std::uint64_t>(p.*rate));
     return h;
 }
 
-/** Byte equality over the same evaluation-relevant field set. */
+/** Bit equality over the same rates. */
 bool
 profileEvalEqual(const SampleProfile &a, const SampleProfile &b)
 {
-    auto same = [](double x, double y) {
-        return std::bit_cast<std::uint64_t>(x) ==
-               std::bit_cast<std::uint64_t>(y);
-    };
-    return same(a.baseCpi, b.baseCpi) && same(a.activity, b.activity) &&
-           same(a.mlp, b.mlp) &&
-           same(a.gpuWorkPerInstr, b.gpuWorkPerInstr) &&
-           same(a.gpuActivity, b.gpuActivity) &&
-           same(a.l1Mpki, b.l1Mpki) && same(a.l2Mpki, b.l2Mpki) &&
-           same(a.l2PerInstr, b.l2PerInstr) &&
-           same(a.dramReadsPerInstr, b.dramReadsPerInstr) &&
-           same(a.dramWritesPerInstr, b.dramWritesPerInstr) &&
-           same(a.dramPrefetchPerInstr, b.dramPrefetchPerInstr) &&
-           same(a.rowHitFrac, b.rowHitFrac) &&
-           same(a.rowClosedFrac, b.rowClosedFrac) &&
-           same(a.rowConflictFrac, b.rowConflictFrac);
+    for (const auto rate : kProfileRates) {
+        if (std::bit_cast<std::uint64_t>(a.*rate) !=
+            std::bit_cast<std::uint64_t>(b.*rate))
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -185,12 +169,13 @@ GridRunner::runWithProfiles(const std::string &workload_name,
     const std::uint64_t workload_hash =
         fnv1aString(kFnvOffsetBasis, workload_name);
 
-    // Dedup byte-identical profiles into unique rows: the pre-noise
+    // Group byte-identical profiles into unique rows: the pre-noise
     // cells of a row are a pure function of the profile bytes (plus
     // space/tables), so each distinct profile runs the strip kernel
     // once and is scattered to every sample carrying it.  Noise stays
     // per-sample, applied at scatter time with the cell-at-a-time
-    // path's exact seeds, so dedup never changes a single bit.
+    // path's exact seeds, so grouping never changes a single bit.
+    // All-distinct profiles are singleton groups.
     std::vector<std::vector<std::size_t>> groups;
     {
         std::unordered_map<std::uint64_t, std::vector<std::size_t>>
@@ -213,70 +198,44 @@ GridRunner::runWithProfiles(const std::string &workload_name,
             groups[id].push_back(s);
         }
     }
-    const bool dedup = groups.size() < profiles.size();
 
     obs::TraceSpan eval_span("sim.grid.eval", profiles.size());
-    if (!dedup) {
-        if (pool_ != nullptr && pool_->size() > 0 &&
-            profiles.size() > 1) {
-            // Samples are independent and write disjoint cell rows, so
-            // the fan-out needs no synchronization beyond the loop
-            // barrier.
-            pool_->parallelFor(0, profiles.size(), [&](std::size_t s) {
-                evaluateSample(grid, profiles[s], s, space,
-                               instructions_per_sample, *tables,
-                               workload_hash);
-            });
-        } else {
-            for (std::size_t s = 0; s < profiles.size(); ++s)
-                evaluateSample(grid, profiles[s], s, space,
-                               instructions_per_sample, *tables,
-                               workload_hash);
+    const std::size_t settings = space.size();
+    const bool has_gpu = space.hasGpu();
+    auto evaluateGroup = [&](std::size_t u) {
+        const std::vector<std::size_t> &members = groups[u];
+        // Evaluate the kernel once, into the first member's row.
+        const std::size_t lead = members.front();
+        const MeasuredGrid::RowView lead_row = grid.fillRow(lead);
+        evaluateRow(lead_row, profiles[lead], space,
+                    instructions_per_sample, *tables);
+        // Scatter the pre-noise cells to the other members' rows.
+        for (std::size_t i = 1; i < members.size(); ++i) {
+            const MeasuredGrid::RowView dst = grid.fillRow(members[i]);
+            std::copy_n(lead_row.seconds, settings, dst.seconds);
+            std::copy_n(lead_row.busyFrac, settings, dst.busyFrac);
+            std::copy_n(lead_row.bwUtil, settings, dst.bwUtil);
+            std::copy_n(lead_row.cpuEnergy, settings, dst.cpuEnergy);
+            std::copy_n(lead_row.memEnergy, settings, dst.memEnergy);
+            if (has_gpu)
+                std::copy_n(lead_row.gpuEnergy, settings, dst.gpuEnergy);
         }
+        // Per-sample noise and aggregates (lead included).
+        for (const std::size_t s : members) {
+            const MeasuredGrid::RowView dst = grid.fillRow(s);
+            applyNoise(dst, s, workload_hash, settings, has_gpu);
+            grid.updateSampleAggregates(s);
+        }
+    };
+    if (pool_ != nullptr && pool_->size() > 0 && groups.size() > 1) {
+        // Groups own disjoint sample-row sets, so the fan-out needs no
+        // synchronization beyond the loop barrier.
+        pool_->parallelFor(0, groups.size(), evaluateGroup);
     } else {
-        const std::size_t settings = space.size();
-        const bool has_gpu = space.hasGpu();
-        auto evaluateGroup = [&](std::size_t u) {
-            const std::vector<std::size_t> &members = groups[u];
-            // Evaluate the kernel once, into the first member's row.
-            const std::size_t lead = members.front();
-            const MeasuredGrid::RowView lead_row = grid.fillRow(lead);
-            evaluateRow(lead_row, profiles[lead], space,
-                        instructions_per_sample, *tables);
-            // Scatter the pre-noise cells to the other members' rows.
-            for (std::size_t i = 1; i < members.size(); ++i) {
-                const MeasuredGrid::RowView dst =
-                    grid.fillRow(members[i]);
-                std::copy_n(lead_row.seconds, settings, dst.seconds);
-                std::copy_n(lead_row.busyFrac, settings, dst.busyFrac);
-                std::copy_n(lead_row.bwUtil, settings, dst.bwUtil);
-                std::copy_n(lead_row.cpuEnergy, settings,
-                            dst.cpuEnergy);
-                std::copy_n(lead_row.memEnergy, settings,
-                            dst.memEnergy);
-                if (has_gpu)
-                    std::copy_n(lead_row.gpuEnergy, settings,
-                                dst.gpuEnergy);
-            }
-            // Per-sample noise and aggregates (lead included).
-            for (const std::size_t s : members) {
-                const MeasuredGrid::RowView dst = grid.fillRow(s);
-                applyNoise(dst, s, workload_hash, settings, has_gpu);
-                grid.updateSampleAggregates(s);
-            }
-        };
-        if (pool_ != nullptr && pool_->size() > 0 &&
-            groups.size() > 1) {
-            // Groups own disjoint sample-row sets; same independence
-            // argument as the per-sample fan-out.
-            pool_->parallelFor(0, groups.size(), evaluateGroup);
-        } else {
-            for (std::size_t u = 0; u < groups.size(); ++u)
-                evaluateGroup(u);
-        }
+        for (std::size_t u = 0; u < groups.size(); ++u)
+            evaluateGroup(u);
     }
     eval_span.end();
-    grid.sealAggregates();
     grid.setProfiles(profiles);
 
     GridMetrics &metrics = gridMetrics();
@@ -298,24 +257,9 @@ GridRunner::evaluateRow(const MeasuredGrid::RowView &row,
 {
     const double n = static_cast<double>(instructions_per_sample);
 
-    // Scale the per-instruction rates back up to the modeled
-    // sample length for the DRAM energy accounting.
-    DramStats dram_stats;
-    const double reads =
-        n * (profile.dramReadsPerInstr + profile.dramPrefetchPerInstr);
-    const double writes = n * profile.dramWritesPerInstr;
-    const double total_txn = reads + writes;
-    dram_stats.reads = static_cast<Count>(std::llround(reads));
-    dram_stats.writes = static_cast<Count>(std::llround(writes));
-    dram_stats.rowHits =
-        static_cast<Count>(std::llround(total_txn * profile.rowHitFrac));
-    dram_stats.rowClosed = static_cast<Count>(
-        std::llround(total_txn * profile.rowClosedFrac));
-    dram_stats.rowConflicts = static_cast<Count>(
-        std::llround(total_txn * profile.rowConflictFrac));
-
     // Per-sample invariants of the DRAM energy accounting, resolved to
     // doubles once instead of per cell.
+    const DramStats dram_stats = profile.dramStats(instructions_per_sample);
     const double reads_d = static_cast<double>(dram_stats.reads);
     const double writes_d = static_cast<double>(dram_stats.writes);
     const double activates_d =
@@ -365,9 +309,8 @@ GridRunner::evaluateRow(const MeasuredGrid::RowView &row,
     std::vector<double> usable_bw(mem_steps);
     for (std::size_t m = 0; m < mem_steps; ++m) {
         const MemTimingPoint &mt = tables.memTiming[m];
-        base_lat[m] = profile.rowHitFrac * mt.latencyHit +
-                      profile.rowClosedFrac * mt.latencyClosed +
-                      profile.rowConflictFrac * mt.latencyConflict;
+        base_lat[m] = profile.rowWeightedLatency(
+            mt.latencyHit, mt.latencyClosed, mt.latencyConflict);
         usable_bw[m] = mt.usableBandwidth;
     }
 
@@ -548,20 +491,6 @@ GridRunner::applyNoise(const MeasuredGrid::RowView &row,
         for (std::size_t k = 0; k < settings; ++k)
             row.gpuEnergy[k] *= wobble_gpu[k];
     }
-}
-
-void
-GridRunner::evaluateSample(MeasuredGrid &grid, const SampleProfile &profile,
-                           std::size_t sample, const SettingsSpace &space,
-                           Count instructions_per_sample,
-                           const Tables &tables,
-                           std::uint64_t workload_hash) const
-{
-    const MeasuredGrid::RowView row = grid.fillRow(sample);
-    evaluateRow(row, profile, space, instructions_per_sample, tables);
-    applyNoise(row, sample, workload_hash, space.size(),
-               space.hasGpu());
-    grid.updateSampleAggregates(sample);
 }
 
 } // namespace mcdvfs

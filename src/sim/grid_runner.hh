@@ -17,6 +17,12 @@
  * vectorizes across settings.  The kernel is bit-identical to
  * cell-at-a-time evaluation (sim/reference_kernel.hh, asserted by
  * tests/sim_grid_runner_test.cc).
+ *
+ * There is one fill loop.  Samples whose profiles carry bit-identical
+ * rates form a group (all-distinct profiles are singleton groups): the
+ * kernel fills the group's first row, the other rows copy it, and then
+ * every row gets its own measurement noise and is finished with
+ * MeasuredGrid::updateSampleAggregates().
  */
 
 #ifndef MCDVFS_SIM_GRID_RUNNER_HH
@@ -152,13 +158,6 @@ class GridRunner
     void applyNoise(const MeasuredGrid::RowView &row, std::size_t sample,
                     std::uint64_t workload_hash, std::size_t settings,
                     bool has_gpu) const;
-
-    /** Fill one sample's row of cells (safe to run concurrently). */
-    void evaluateSample(MeasuredGrid &grid, const SampleProfile &profile,
-                        std::size_t sample, const SettingsSpace &space,
-                        Count instructions_per_sample,
-                        const Tables &tables,
-                        std::uint64_t workload_hash) const;
 
     SystemConfig config_;
     TimingModel timingModel_;

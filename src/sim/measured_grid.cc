@@ -30,7 +30,6 @@ MeasuredGrid::MeasuredGrid(std::string workload, SettingsSpace space,
     gpuEnergy_.assign(cells, 0.0);
     sampleEmin_.assign(samples_, 0.0);
     sampleSlowest_.assign(samples_, 0.0);
-    sampleFastest_.assign(samples_, 0.0);
 }
 
 Count
@@ -45,20 +44,6 @@ MeasuredGrid::index(std::size_t sample, std::size_t setting) const
     MCDVFS_ASSERT(sample < samples_, "sample index out of range");
     MCDVFS_ASSERT(setting < settings_, "setting index out of range");
     return sample * settings_ + setting;
-}
-
-GridCellRef
-MeasuredGrid::cell(std::size_t sample, std::size_t setting)
-{
-    const std::size_t i = index(sample, setting);
-    // Handing out a mutable view may change any quantity.
-    aggregatesValid_ = false;
-    {
-        std::lock_guard<std::mutex> lock(*digestMutex_);
-        digestedRows_ = 0;
-    }
-    return GridCellRef(seconds_[i], cpuEnergy_[i], memEnergy_[i],
-                       busyFrac_[i], bwUtil_[i], gpuEnergy_[i]);
 }
 
 GridCell
@@ -86,30 +71,14 @@ MeasuredGrid::updateSampleAggregates(std::size_t sample)
     const std::size_t base = sample * settings_;
     Joules emin = std::numeric_limits<double>::infinity();
     Seconds slowest = 0.0;
-    Seconds fastest = std::numeric_limits<double>::infinity();
     for (std::size_t k = 0; k < settings_; ++k) {
         emin = std::min(emin,
                         (cpuEnergy_[base + k] + memEnergy_[base + k]) +
                             gpuEnergy_[base + k]);
         slowest = std::max(slowest, seconds_[base + k]);
-        fastest = std::min(fastest, seconds_[base + k]);
     }
     sampleEmin_[sample] = emin;
     sampleSlowest_[sample] = slowest;
-    sampleFastest_[sample] = fastest;
-}
-
-void
-MeasuredGrid::refreshAggregates() const
-{
-    // Const because aggregate queries are logically read-only; the
-    // cache members are mutable.  Not safe against concurrent first
-    // queries on a never-sealed grid — production grids are sealed by
-    // the fill kernel before they are shared.
-    MeasuredGrid &self = const_cast<MeasuredGrid &>(*this);
-    for (std::size_t s = 0; s < samples_; ++s)
-        self.updateSampleAggregates(s);
-    aggregatesValid_ = true;
 }
 
 void
@@ -126,33 +95,6 @@ MeasuredGrid::profile(std::size_t sample) const
     MCDVFS_ASSERT(sample < profiles_.size(),
                   "profiles not attached or sample out of range");
     return profiles_[sample];
-}
-
-Joules
-MeasuredGrid::sampleEmin(std::size_t sample) const
-{
-    MCDVFS_ASSERT(sample < samples_, "sample index out of range");
-    if (!aggregatesValid_)
-        refreshAggregates();
-    return sampleEmin_[sample];
-}
-
-Seconds
-MeasuredGrid::sampleSlowest(std::size_t sample) const
-{
-    MCDVFS_ASSERT(sample < samples_, "sample index out of range");
-    if (!aggregatesValid_)
-        refreshAggregates();
-    return sampleSlowest_[sample];
-}
-
-Seconds
-MeasuredGrid::sampleFastest(std::size_t sample) const
-{
-    MCDVFS_ASSERT(sample < samples_, "sample index out of range");
-    if (!aggregatesValid_)
-        refreshAggregates();
-    return sampleFastest_[sample];
 }
 
 Seconds
@@ -177,24 +119,6 @@ MeasuredGrid::totalEnergy(std::size_t setting) const
     return total;
 }
 
-Joules
-MeasuredGrid::eminTotal() const
-{
-    Joules best = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < settings_; ++k)
-        best = std::min(best, totalEnergy(k));
-    return best;
-}
-
-Seconds
-MeasuredGrid::slowestTotal() const
-{
-    Seconds worst = 0.0;
-    for (std::size_t k = 0; k < settings_; ++k)
-        worst = std::max(worst, totalTime(k));
-    return worst;
-}
-
 std::uint64_t
 MeasuredGrid::prefixDigest(std::size_t samples) const
 {
@@ -204,30 +128,15 @@ MeasuredGrid::prefixDigest(std::size_t samples) const
     if (digestedRows_ < samples) {
         if (rowDigests_.size() < samples_)
             rowDigests_.resize(samples_);
-        // Seed the chain with the settings-space content so prefixes
-        // only collide across identical spaces (the §V tie-break reads
-        // the setting frequencies, not just the measured columns).
-        std::uint64_t chain;
+        // Seed the chain with the settings space so prefixes only
+        // collide across identical spaces (the §V tie-break reads the
+        // setting frequencies, not just the measured columns).  The
+        // GPU column is chained only on three-domain grids.
         const bool has_gpu = space_.hasGpu();
-        if (digestedRows_ == 0) {
-            chain = fnv1aMixWord(kFnvOffsetBasis, settings_);
-            for (const Hertz f : space_.cpuLadder().steps())
-                chain = fnv1aMixWord(
-                    chain, std::bit_cast<std::uint64_t>(f));
-            for (const Hertz f : space_.memLadder().steps())
-                chain = fnv1aMixWord(
-                    chain, std::bit_cast<std::uint64_t>(f));
-            // Three-domain grids additionally chain the GPU ladder
-            // and column; two-domain digests are byte-for-byte what
-            // they always were, so existing checkpoints stay valid.
-            if (has_gpu) {
-                for (const Hertz f : space_.gpuLadder().steps())
-                    chain = fnv1aMixWord(
-                        chain, std::bit_cast<std::uint64_t>(f));
-            }
-        } else {
-            chain = rowDigests_[digestedRows_ - 1];
-        }
+        std::uint64_t chain =
+            digestedRows_ == 0
+                ? fnv1aMixWord(kFnvOffsetBasis, space_.fingerprint())
+                : rowDigests_[digestedRows_ - 1];
         for (std::size_t s = digestedRows_; s < samples; ++s) {
             const std::size_t base = s * settings_;
             for (std::size_t k = 0; k < settings_; ++k) {

@@ -11,14 +11,17 @@
  *
  * Storage is structure-of-arrays: one contiguous sample-major column
  * per measured quantity (seconds, cpuEnergy, memEnergy, busyFrac,
- * bwUtil), so the grid kernel writes and the analysis scans stream
- * sequential memory.  The cell() accessors remain as a compatibility
- * view assembling (or referencing) one cell's five quantities.
+ * bwUtil, gpuEnergy), so the grid kernel writes and the analysis scans
+ * stream sequential memory.  The const cell() accessor assembles one
+ * cell's quantities as a value.
  *
- * Per-sample aggregates (Emin, slowest, fastest) are cached: the fill
- * kernel computes them row-by-row as it goes, and any later mutation
- * through a cell view invalidates the cache, which is then rebuilt
- * lazily on the next aggregate query.
+ * A grid is written once.  Every writer fills each row through
+ * fillRow() and finishes it with updateSampleAggregates(), which
+ * records the row's Emin and slowest time; nothing changes a grid
+ * after that.  Shared grids are shared_ptr<const MeasuredGrid>, and
+ * every writer is non-const, so const is what keeps a shared grid
+ * unchanged.  A row nobody finished reads Emin 0, which
+ * InefficiencyAnalysis rejects.
  */
 
 #ifndef MCDVFS_SIM_MEASURED_GRID_HH
@@ -59,57 +62,15 @@ struct GridCell
     Joules energy() const { return (cpuEnergy + memEnergy) + gpuEnergy; }
 };
 
-/** Mutable view of one cell inside the SoA columns. */
-class GridCellRef
-{
-  public:
-    GridCellRef(double &seconds_ref, double &cpu_ref, double &mem_ref,
-                double &busy_ref, double &bw_ref, double &gpu_ref)
-        : seconds(seconds_ref), cpuEnergy(cpu_ref), memEnergy(mem_ref),
-          busyFrac(busy_ref), bwUtil(bw_ref), gpuEnergy(gpu_ref)
-    {}
-
-    double &seconds;
-    double &cpuEnergy;
-    double &memEnergy;
-    double &busyFrac;
-    double &bwUtil;
-    double &gpuEnergy;
-
-    Joules energy() const { return (cpuEnergy + memEnergy) + gpuEnergy; }
-
-    /** Assign all six quantities from a value cell. */
-    GridCellRef &
-    operator=(const GridCell &cell)
-    {
-        seconds = cell.seconds;
-        cpuEnergy = cell.cpuEnergy;
-        memEnergy = cell.memEnergy;
-        busyFrac = cell.busyFrac;
-        bwUtil = cell.bwUtil;
-        gpuEnergy = cell.gpuEnergy;
-        return *this;
-    }
-
-    /** Materialize a value cell from the view. */
-    operator GridCell() const
-    {
-        return GridCell{seconds, cpuEnergy, memEnergy,
-                        busyFrac, bwUtil,    gpuEnergy};
-    }
-};
-
 /** Dense samples x settings grid with whole-run aggregates. */
 class MeasuredGrid
 {
   public:
     /**
-     * Raw pointers into one sample's row of every column (fill API for
-     * grid kernels).  Using a RowView does NOT invalidate the cached
-     * aggregates — a fill kernel writing disjoint rows from several
-     * threads must not touch shared state; it finishes each row with
-     * updateSampleAggregates() and the whole fill with
-     * sealAggregates().
+     * Raw pointers into one sample's row of every column (the fill
+     * API).  Rows are disjoint, so a fill kernel may write distinct
+     * rows from several threads; it finishes each row with
+     * updateSampleAggregates().
      */
     struct RowView
     {
@@ -137,13 +98,7 @@ class MeasuredGrid
     Count instructionsPerSample() const { return instructionsPerSample_; }
     Count totalInstructions() const;
 
-    /**
-     * Mutable cell view (compatibility API).  Bounds-checked in all
-     * build types; invalidates the cached per-sample aggregates.
-     */
-    GridCellRef cell(std::size_t sample, std::size_t setting);
-
-    /** Immutable cell value (compatibility API, bounds-checked). */
+    /** One cell's quantities as a value (bounds-checked in all builds). */
     GridCell cell(std::size_t sample, std::size_t setting) const;
 
     /** @name Hot-path column accessors.
@@ -235,23 +190,17 @@ class MeasuredGrid
     }
     ///@}
 
-    /** @name Fill API (used by grid kernels). */
+    /** @name Fill API (the grid's one write path). */
     ///@{
     /** Pointers to one sample's contiguous row of every column. */
     RowView fillRow(std::size_t sample);
 
     /**
-     * Recompute the cached Emin/slowest/fastest of one sample from its
-     * row (call after filling the row; safe to call concurrently for
-     * distinct samples).
+     * Finish one sample's row: record its Emin and slowest time (call
+     * once the row is filled; safe to call concurrently for distinct
+     * samples).
      */
     void updateSampleAggregates(std::size_t sample);
-
-    /**
-     * Mark the per-sample aggregate cache valid.  Call once after
-     * every row was filled and aggregated.
-     */
-    void sealAggregates() { aggregatesValid_ = true; }
     ///@}
 
     /** Attach the characterization profiles (for CPI/MPKI reporting). */
@@ -263,37 +212,42 @@ class MeasuredGrid
     /** True once profiles were attached. */
     bool hasProfiles() const { return !profiles_.empty(); }
 
-    /** @name Per-sample aggregates (cached; rebuilt lazily). */
+    /** @name Per-sample aggregates (recorded as each row is finished). */
     ///@{
     /** Minimum energy of a sample over all settings (per-sample Emin). */
-    Joules sampleEmin(std::size_t sample) const;
+    Joules
+    sampleEmin(std::size_t sample) const
+    {
+        MCDVFS_ASSERT(sample < samples_, "sample index out of range");
+        return sampleEmin_[sample];
+    }
+
     /** Slowest execution of a sample over all settings. */
-    Seconds sampleSlowest(std::size_t sample) const;
-    /** Fastest execution of a sample over all settings. */
-    Seconds sampleFastest(std::size_t sample) const;
+    Seconds
+    sampleSlowest(std::size_t sample) const
+    {
+        MCDVFS_ASSERT(sample < samples_, "sample index out of range");
+        return sampleSlowest_[sample];
+    }
     ///@}
 
     /** @name Whole-run aggregates (one fixed setting end to end). */
     ///@{
     Seconds totalTime(std::size_t setting) const;
     Joules totalEnergy(std::size_t setting) const;
-    /** Brute-force whole-run Emin over all fixed settings. */
-    Joules eminTotal() const;
-    /** Longest whole-run execution time over all fixed settings. */
-    Seconds slowestTotal() const;
     ///@}
 
     /**
      * Chained content digest of the first @c samples sample rows
      * (1 <= samples <= sampleCount()), over the analysis-relevant
-     * columns (seconds, cpuEnergy, memEnergy) plus the settings-space
-     * ladders.  Chaining makes prefixes self-identifying: a grid whose
-     * first N rows are bit-identical to another grid's first N rows
-     * yields the same prefixDigest(N) regardless of either grid's
-     * total length — this is the key of the incremental analysis
-     * checkpoints (svc::CheckpointCache).  Digests are computed lazily
-     * once per grid, under a lock (grids are shared across daemon
-     * batches), and invalidated by mutable cell() access.
+     * columns (seconds, cpuEnergy, memEnergy, and gpuEnergy on
+     * three-domain grids), seeded with SettingsSpace::fingerprint().
+     * Chaining makes prefixes self-identifying: a grid whose first N
+     * rows are bit-identical to another grid's first N rows yields the
+     * same prefixDigest(N) regardless of either grid's total length —
+     * this is the key of the incremental analysis checkpoints
+     * (svc::CheckpointCache).  Digests are computed lazily once per
+     * grid, under a lock (grids are shared across daemon batches).
      */
     std::uint64_t prefixDigest(std::size_t samples) const;
 
@@ -309,9 +263,6 @@ class MeasuredGrid
                             "setting index out of range");
         return sample * settings_ + setting;
     }
-
-    /** Rebuild every sample's cached aggregates (lazy refresh). */
-    void refreshAggregates() const;
 
     std::string workload_;
     SettingsSpace space_;
@@ -329,12 +280,10 @@ class MeasuredGrid
     std::vector<double> gpuEnergy_;
     ///@}
 
-    /** @name Per-sample aggregate cache. */
+    /** @name Per-sample aggregates (updateSampleAggregates). */
     ///@{
-    mutable std::vector<Joules> sampleEmin_;
-    mutable std::vector<Seconds> sampleSlowest_;
-    mutable std::vector<Seconds> sampleFastest_;
-    mutable bool aggregatesValid_ = false;
+    std::vector<Joules> sampleEmin_;
+    std::vector<Seconds> sampleSlowest_;
     ///@}
 
     /** @name Chained row-digest cache (prefixDigest). */

@@ -1,7 +1,6 @@
 #include "sim/reference_kernel.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/hash.hh"
 #include "common/rng.hh"
@@ -63,24 +62,7 @@ evaluateSampleReference(MeasuredGrid &grid, const SystemConfig &config,
     const double n = static_cast<double>(instructions_per_sample);
     const bool has_gpu = space.hasGpu();
 
-    // Scale the per-instruction rates back up to the modeled
-    // sample length for the DRAM energy accounting.
-    DramStats dram_stats;
-    const double reads =
-        n * (profile.dramReadsPerInstr + profile.dramPrefetchPerInstr);
-    const double writes = n * profile.dramWritesPerInstr;
-    const double total = reads + writes;
-    dram_stats.reads = static_cast<Count>(std::llround(reads));
-    dram_stats.writes = static_cast<Count>(std::llround(writes));
-    dram_stats.rowHits =
-        static_cast<Count>(std::llround(total * profile.rowHitFrac));
-    dram_stats.rowClosed = static_cast<Count>(
-        std::llround(total * profile.rowClosedFrac));
-    dram_stats.rowConflicts = static_cast<Count>(
-        std::llround(total * profile.rowConflictFrac));
-
-    // Write through the row pointers rather than the cell() view so a
-    // parallel fill never touches the shared aggregate-cache flag.
+    const DramStats dram_stats = profile.dramStats(instructions_per_sample);
     MeasuredGrid::RowView row = grid.fillRow(sample);
 
     for (std::size_t k = 0; k < space.size(); ++k) {
@@ -182,7 +164,6 @@ referenceGridWithProfiles(const SystemConfig &config,
         for (std::size_t s = 0; s < profiles.size(); ++s)
             eval(s);
 
-    grid.sealAggregates();
     grid.setProfiles(profiles);
 
     ReferenceMetrics &metrics = referenceMetrics();

@@ -10,14 +10,23 @@
  * the frequency setting — which is what lets the timing model evaluate
  * all 70 (or 496) settings from a single characterization pass
  * (DESIGN.md §5.1).
+ *
+ * kProfileRates lists a profile's rates once: the grid codecs, the grid
+ * kernel's row dedup and the profile checks walk it, and a
+ * static_assert ties it to the struct's size, so a new field cannot be
+ * left out of any of them.
  */
 
 #ifndef MCDVFS_SIM_SAMPLE_PROFILE_HH
 #define MCDVFS_SIM_SAMPLE_PROFILE_HH
 
+#include <array>
+#include <cmath>
+#include <span>
 #include <string>
 
 #include "common/units.hh"
+#include "mem/dram.hh"
 
 namespace mcdvfs
 {
@@ -75,7 +84,78 @@ struct SampleProfile
     {
         return dramPerInstr() + dramPrefetchPerInstr;
     }
+
+    /**
+     * Uncontended per-fill DRAM latency: the three row-buffer outcome
+     * latencies weighted by how often each outcome occurs.
+     */
+    Seconds
+    rowWeightedLatency(Seconds hit, Seconds closed, Seconds conflict) const
+    {
+        return rowHitFrac * hit + rowClosedFrac * closed +
+               rowConflictFrac * conflict;
+    }
+
+    /**
+     * DRAM transaction counts of a sample of @c instructions: the
+     * per-instruction rates scaled back up, each rounded to the
+     * nearest count (the DRAM energy model's input).
+     */
+    DramStats
+    dramStats(Count instructions) const
+    {
+        const double n = static_cast<double>(instructions);
+        const double reads = n * (dramReadsPerInstr + dramPrefetchPerInstr);
+        const double writes = n * dramWritesPerInstr;
+        const double total = reads + writes;
+        DramStats stats;
+        stats.reads = static_cast<Count>(std::llround(reads));
+        stats.writes = static_cast<Count>(std::llround(writes));
+        stats.rowHits = static_cast<Count>(std::llround(total * rowHitFrac));
+        stats.rowClosed =
+            static_cast<Count>(std::llround(total * rowClosedFrac));
+        stats.rowConflicts =
+            static_cast<Count>(std::llround(total * rowConflictFrac));
+        return stats;
+    }
 };
+
+/**
+ * Every rate of a SampleProfile (all fields but phaseName), in the
+ * grid codecs' order.  The GPU pair comes last: two-domain grids store
+ * only the first kCpuProfileRates.
+ */
+inline constexpr std::array<double SampleProfile::*, 14> kProfileRates = {
+    &SampleProfile::baseCpi,
+    &SampleProfile::activity,
+    &SampleProfile::mlp,
+    &SampleProfile::l1Mpki,
+    &SampleProfile::l2Mpki,
+    &SampleProfile::l2PerInstr,
+    &SampleProfile::dramReadsPerInstr,
+    &SampleProfile::dramWritesPerInstr,
+    &SampleProfile::dramPrefetchPerInstr,
+    &SampleProfile::rowHitFrac,
+    &SampleProfile::rowClosedFrac,
+    &SampleProfile::rowConflictFrac,
+    &SampleProfile::gpuWorkPerInstr,
+    &SampleProfile::gpuActivity,
+};
+
+/** The rates before the GPU pair in kProfileRates. */
+inline constexpr std::size_t kCpuProfileRates = 12;
+
+static_assert(sizeof(SampleProfile) ==
+                  sizeof(std::string) + kProfileRates.size() * sizeof(double),
+              "a SampleProfile field is missing from kProfileRates");
+
+/** The rates a grid stores: the GPU pair only on three-domain grids. */
+constexpr std::span<double SampleProfile::*const>
+storedProfileRates(bool has_gpu)
+{
+    return std::span(kProfileRates)
+        .first(has_gpu ? kProfileRates.size() : kCpuProfileRates);
+}
 
 } // namespace mcdvfs
 

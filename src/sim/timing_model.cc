@@ -45,12 +45,10 @@ TimingModel::evaluate(const SampleProfile &profile,
     // Uncontended per-fill latency, weighted by row-buffer outcome.
     const DramTiming &dt = params_.dramTiming;
     const DramConfig &dc = params_.dramConfig;
-    const Seconds base_latency =
-        profile.rowHitFrac * dt.latency(RowOutcome::Hit, setting.mem, dc) +
-        profile.rowClosedFrac *
-            dt.latency(RowOutcome::Closed, setting.mem, dc) +
-        profile.rowConflictFrac *
-            dt.latency(RowOutcome::Conflict, setting.mem, dc);
+    const Seconds base_latency = profile.rowWeightedLatency(
+        dt.latency(RowOutcome::Hit, setting.mem, dc),
+        dt.latency(RowOutcome::Closed, setting.mem, dc),
+        dt.latency(RowOutcome::Conflict, setting.mem, dc));
 
     const double demand_fills = n * profile.dramReadsPerInstr;
     const double traffic_bytes =

@@ -29,6 +29,8 @@ kindLetter(InstrKind kind)
         return 'L';
       case InstrKind::Store:
         return 'S';
+      case InstrKind::GpuKick:
+        return 'G';
     }
     MCDVFS_PANIC("unreachable instruction kind");
 }
@@ -49,6 +51,8 @@ kindFromLetter(char letter)
         return InstrKind::Load;
       case 'S':
         return InstrKind::Store;
+      case 'G':
+        return InstrKind::GpuKick;
       default:
         fatal("trace io: unknown instruction kind '", letter, "'");
     }

@@ -41,11 +41,13 @@ handGrid()
         {10.0, 12.0, 11.0, 13.0, 14.0, 16.5},
     };
     for (std::size_t s = 0; s < 3; ++s) {
+        const MeasuredGrid::RowView row = grid.fillRow(s);
         for (std::size_t k = 0; k < 6; ++k) {
-            grid.cell(s, k).seconds = t[s][k] * 1e-3;
-            grid.cell(s, k).cpuEnergy = e[s][k] * 1e-3 * 0.8;
-            grid.cell(s, k).memEnergy = e[s][k] * 1e-3 * 0.2;
+            row.seconds[k] = t[s][k] * 1e-3;
+            row.cpuEnergy[k] = e[s][k] * 1e-3 * 0.8;
+            row.memEnergy[k] = e[s][k] * 1e-3 * 0.2;
         }
+        grid.updateSampleAggregates(s);
     }
     return grid;
 }

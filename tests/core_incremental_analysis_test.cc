@@ -3,12 +3,14 @@
  * Incremental (streaming) analysis tests: AnalysisCheckpoint extension
  * must be bit-identical to a full recompute at every split point, the
  * grid prefix digests that key the checkpoints must be prefix-stable
- * and mutation-sensitive, the checkpoint store (CheckpointCache) must obey
- * its LRU/disable semantics, and the CharacterizationService must
+ * and move with any row they cover, the checkpoint store
+ * (CheckpointCache) must obey its LRU/disable semantics, and the
+ * CharacterizationService must
  * resume a grown workload from its longest cached prefix with exactly
  * the results of a from-scratch service.
  */
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -176,17 +178,35 @@ TEST(GridPrefixDigest, SharedPrefixesDigestEqually)
     EXPECT_NE(long_grid.prefixDigest(12), long_grid.prefixDigest(8));
 }
 
-TEST(GridPrefixDigest, MutationInvalidatesTheDigest)
+TEST(GridPrefixDigest, ARowChangeMovesOnlyLaterDigests)
 {
-    MeasuredGrid grid = buildGrid(grownSteady(8));
-    const std::uint64_t before = grid.prefixDigest(8);
-    EXPECT_EQ(grid.prefixDigest(8), before);  // cached, stable
-    GridCellRef cell = grid.cell(3, 5);
-    cell.seconds += 1.0;
-    EXPECT_NE(grid.prefixDigest(8), before);
-    // A prefix strictly before the touched row keeps its digest.
+    // Copy a grid row by row with one cell of sample 3 changed: the
+    // prefixes that end before sample 3 keep their digests, and every
+    // prefix that includes it moves.  Only the digested columns are
+    // copied.
     const MeasuredGrid pristine = buildGrid(grownSteady(8));
-    EXPECT_EQ(grid.prefixDigest(3), pristine.prefixDigest(3));
+    const std::uint64_t whole = pristine.prefixDigest(8);
+    EXPECT_EQ(pristine.prefixDigest(8), whole);  // cached, stable
+    MeasuredGrid changed(pristine.workload(), pristine.space(),
+                         pristine.sampleCount(),
+                         pristine.instructionsPerSample());
+    const std::size_t settings = pristine.settingCount();
+    for (std::size_t s = 0; s < pristine.sampleCount(); ++s) {
+        const MeasuredGrid::RowView row = changed.fillRow(s);
+        std::copy_n(pristine.secondsRow(s), settings, row.seconds);
+        std::copy_n(pristine.cpuEnergyRow(s), settings, row.cpuEnergy);
+        std::copy_n(pristine.memEnergyRow(s), settings, row.memEnergy);
+        std::copy_n(pristine.gpuEnergyRow(s), settings, row.gpuEnergy);
+        if (s == 3)
+            row.seconds[5] += 1.0;
+        changed.updateSampleAggregates(s);
+    }
+    for (std::size_t len = 1; len <= 3; ++len)
+        EXPECT_EQ(changed.prefixDigest(len), pristine.prefixDigest(len))
+            << "prefix length " << len;
+    for (std::size_t len = 4; len <= 8; ++len)
+        EXPECT_NE(changed.prefixDigest(len), pristine.prefixDigest(len))
+            << "prefix length " << len;
 }
 
 TEST(AnalysisCacheCheckpoints, LongestPrefixWinsAndCountsOnce)

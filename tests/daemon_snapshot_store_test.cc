@@ -3,9 +3,9 @@
  * SnapshotStore tests: bit-identical grid and analysis round trips,
  * the grid file's bytes, fingerprint addressing (including
  * mismatched-key rejection), corrupt/truncated/version-skewed file
- * rejection, the rebuild of a store written by the previous container
- * version, atomic-write hygiene (also when a write fails), and
- * warm-restart bulk loads.
+ * rejection, element counts a payload cannot hold, the rebuild of a
+ * store written by the previous container version, atomic-write
+ * hygiene (also when a write fails), and warm-restart bulk loads.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -338,6 +341,80 @@ TEST(SnapshotStore, RejectsCorruptTruncatedAndSkewedFiles)
         EXPECT_NE(store.loadGrid(key), nullptr);
         EXPECT_EQ(store.stats().loadErrors, 0u);
     }
+    fs::remove_all(dir);
+}
+
+/** Warnings seen by the capture sink (setLogSink takes a function). */
+std::vector<std::string> &
+capturedWarnings()
+{
+    static std::vector<std::string> lines;
+    return lines;
+}
+
+void
+captureWarning(LogLevel level, const std::string &msg)
+{
+    if (level == LogLevel::Warn)
+        capturedWarnings().push_back(msg);
+}
+
+TEST(SnapshotStore, RejectsCountsThePayloadCannotHold)
+{
+    // A checksum-valid analysis file whose count claims more elements
+    // than its payload holds is rejected for that count before
+    // anything is reserved for it, as one counted load error.
+    const std::string dir = freshDir("overcount");
+    const svc::AnalysisKey key = analysisKey(9);
+    {
+        SnapshotStore store(dir);
+        ASSERT_TRUE(store.storeAnalysis(key, sampleAnalysis()));
+    }
+    const std::string path = onlySnapshotPath(dir);
+    std::ifstream in(path, std::ios::binary);
+    const std::string pristine((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    in.close();
+    // The container up to its payload size: magic, version, kind, key
+    // length, then the 24 key bytes the checksum is seeded with.
+    const std::string head = pristine.substr(0, 20 + 24);
+    const std::string_view key_bytes = std::string_view(head).substr(20);
+
+    // Each count comes after the (empty) lists before it.
+    const std::pair<const char *, std::vector<std::uint32_t>> cases[] = {
+        {"optimal", {99'999'999}},
+        {"cluster", {0, 99'999'999}},
+        {"region", {0, 0, 99'999'999}},
+    };
+    const LogSink previous = setLogSink(&captureWarning);
+    for (const auto &[what, counts] : cases) {
+        ByteWriter payload;
+        for (const std::uint32_t count : counts)
+            payload.u32(count);
+        const std::string body = payload.take();
+        ByteWriter size_and_checksum;
+        size_and_checksum.u64(body.size());
+        size_and_checksum.u64(checksum64(body, checksum64(key_bytes)));
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            const std::string bytes =
+                head + size_and_checksum.take() + body;
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+
+        capturedWarnings().clear();
+        SnapshotStore store(dir);
+        EXPECT_EQ(store.loadAnalysis(key), nullptr) << what;
+        EXPECT_EQ(store.stats().loadErrors, 1u) << what;
+        ASSERT_EQ(capturedWarnings().size(), 1u) << what;
+        EXPECT_NE(capturedWarnings()[0].find(std::string(what) +
+                                             " count 99999999"),
+                  std::string::npos)
+            << capturedWarnings()[0];
+    }
+    setLogSink(previous);
+    capturedWarnings().clear();
     fs::remove_all(dir);
 }
 

@@ -75,8 +75,19 @@ TEST(TraceToggleStress, EnableDisableRacesWritersAndReaders)
         collector.enable(kRingCapacity);
     });
 
+    // Read for 200 rounds and until a first event was seen: on a slow
+    // (sanitized) build the rounds can all run before any writer has
+    // recorded.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     std::uint64_t consistent = 0;
-    for (int round = 0; round < 200; ++round) {
+    for (int round = 0; round < 200 || consistent == 0; ++round) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            ADD_FAILURE() << "reader saw " << consistent
+                          << " events in " << round
+                          << " rounds before its 10 s deadline";
+            break;
+        }
         const TraceSnapshot snap = collector.snapshot();
         for (const TraceEventView &event : snap.events) {
             ASSERT_NE(event.name, nullptr);

@@ -152,6 +152,9 @@ TEST(BudgetArbiter, ValidatesBudgetAndThreshold)
                  FatalError);
     EXPECT_THROW(BudgetArbiter(chain.clusters, 1.3, -0.01, {}),
                  FatalError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(BudgetArbiter(chain.clusters, nan, 0.03, {}), FatalError);
+    EXPECT_THROW(BudgetArbiter(chain.clusters, 1.3, nan, {}), FatalError);
 }
 
 TEST(BudgetArbiter, RejectsMalformedTables)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hh"
 
 #include "runtime/inefficiency_governor.hh"
@@ -33,6 +35,11 @@ TEST(InefficiencyGovernor, Validation)
     EXPECT_THROW(InefficiencyGovernor(chain.clusters, 0.5, 0.03),
                  FatalError);
     EXPECT_THROW(InefficiencyGovernor(chain.clusters, 1.3, -0.01),
+                 FatalError);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(InefficiencyGovernor(chain.clusters, nan, 0.03),
+                 FatalError);
+    EXPECT_THROW(InefficiencyGovernor(chain.clusters, 1.3, nan),
                  FatalError);
 }
 

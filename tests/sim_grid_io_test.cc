@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/inefficiency.hh"
@@ -79,6 +84,35 @@ TEST(GridIo, AnalysesAgreeAfterRoundTrip)
     InefficiencyAnalysis b(loaded);
     EXPECT_DOUBLE_EQ(a.eminTotal(), b.eminTotal());
     EXPECT_DOUBLE_EQ(a.maxRunInefficiency(), b.maxRunInefficiency());
+}
+
+TEST(GridIo, LoadedGridServesConcurrentReaders)
+{
+    // A loaded grid is finished when loadGrid returns, so threads can
+    // share it with no writer left (scripts/sanitize.sh runs this
+    // under TSan).
+    const MeasuredGrid &original = test::phasedGrid();
+    const auto loaded = std::make_shared<const MeasuredGrid>(
+        loadGridFromString(saveGridToString(original)));
+    const std::size_t samples = original.sampleCount();
+    const std::uint64_t digest = original.prefixDigest(samples);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&] {
+            const InefficiencyAnalysis analysis(*loaded);
+            for (std::size_t s = 0; s < samples; ++s) {
+                if (analysis.sampleEmin(s) != original.sampleEmin(s) ||
+                    analysis.sampleSlowest(s) != original.sampleSlowest(s))
+                    ++mismatches;
+            }
+            if (loaded->prefixDigest(samples) != digest)
+                ++mismatches;
+        });
+    }
+    for (std::thread &reader : readers)
+        reader.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(GridIo, RejectsBadHeader)

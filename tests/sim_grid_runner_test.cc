@@ -101,9 +101,11 @@ TEST(GridRunner, MaxSettingIsFastest)
         runner.run(tinyWorkload(), SettingsSpace::coarse());
     const std::size_t max_idx =
         grid.space().indexOf(grid.space().maxSetting());
-    for (std::size_t s = 0; s < grid.sampleCount(); ++s)
-        ASSERT_DOUBLE_EQ(grid.cell(s, max_idx).seconds,
-                         grid.sampleFastest(s));
+    for (std::size_t s = 0; s < grid.sampleCount(); ++s) {
+        for (std::size_t k = 0; k < grid.settingCount(); ++k)
+            ASSERT_LE(grid.secondsAt(s, max_idx), grid.secondsAt(s, k))
+                << s << "," << k;
+    }
 }
 
 TEST(GridRunner, RunWithProfilesMatchesRun)
@@ -157,7 +159,6 @@ expectGoldenIdentical(const MeasuredGrid &kernel,
     for (std::size_t s = 0; s < kernel.sampleCount(); ++s) {
         ASSERT_EQ(kernel.sampleEmin(s), reference.sampleEmin(s));
         ASSERT_EQ(kernel.sampleSlowest(s), reference.sampleSlowest(s));
-        ASSERT_EQ(kernel.sampleFastest(s), reference.sampleFastest(s));
     }
 }
 

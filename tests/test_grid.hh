@@ -98,15 +98,16 @@ handGrid(const SettingsSpace &space, std::size_t samples)
     MeasuredGrid grid("hand", space, samples, 1000);
     std::vector<SampleProfile> profiles(samples);
     for (std::size_t s = 0; s < samples; ++s) {
+        const MeasuredGrid::RowView row = grid.fillRow(s);
         for (std::size_t k = 0; k < grid.settingCount(); ++k) {
-            GridCellRef cell = grid.cell(s, k);
-            cell.seconds = 0.001 * static_cast<double>(s + 1) + 1e-6 * k;
-            cell.cpuEnergy = 0.5 + 0.25 * s + 1e-4 * k;
-            cell.memEnergy = 0.125 + 1e-5 * k;
-            cell.busyFrac = 1.0 / static_cast<double>(k + 1);
-            cell.bwUtil = 0.0625 * s;
-            cell.gpuEnergy = space.hasGpu() ? 0.03125 * k : 0.0;
+            row.seconds[k] = 0.001 * static_cast<double>(s + 1) + 1e-6 * k;
+            row.cpuEnergy[k] = 0.5 + 0.25 * s + 1e-4 * k;
+            row.memEnergy[k] = 0.125 + 1e-5 * k;
+            row.busyFrac[k] = 1.0 / static_cast<double>(k + 1);
+            row.bwUtil[k] = 0.0625 * s;
+            row.gpuEnergy[k] = space.hasGpu() ? 0.03125 * k : 0.0;
         }
+        grid.updateSampleAggregates(s);
         profiles[s].phaseName = s % 2 ? "mem" : "cpu";
         profiles[s].baseCpi = 1.0 + 0.5 * s;
         profiles[s].gpuActivity = 0.25;

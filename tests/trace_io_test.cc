@@ -11,6 +11,7 @@
 #include "sim/sample_simulator.hh"
 #include "trace/trace_generator.hh"
 #include "trace/trace_io.hh"
+#include "trace/workloads.hh"
 
 namespace mcdvfs
 {
@@ -62,7 +63,7 @@ TEST(TraceIo, ReplayWrapsAround)
 TEST(TraceIo, AllKindsRoundTrip)
 {
     TraceReplay replay =
-        TraceReplay::fromString("A\nM\nF\nB\nL a0\nS b0\n");
+        TraceReplay::fromString("A\nM\nF\nB\nL a0\nS b0\nG\n");
     EXPECT_EQ(replay.next().kind, InstrKind::IntAlu);
     EXPECT_EQ(replay.next().kind, InstrKind::IntMul);
     EXPECT_EQ(replay.next().kind, InstrKind::FpOp);
@@ -71,6 +72,7 @@ TEST(TraceIo, AllKindsRoundTrip)
     const InstrRecord store = replay.next();
     EXPECT_EQ(store.kind, InstrKind::Store);
     EXPECT_EQ(store.addr, 0xb0u);
+    EXPECT_EQ(replay.next().kind, InstrKind::GpuKick);
 }
 
 TEST(TraceIo, RejectsMalformedInput)
@@ -82,33 +84,37 @@ TEST(TraceIo, RejectsMalformedInput)
 
 TEST(TraceIo, ReplayDrivesCharacterization)
 {
-    // Characterizing a replayed trace gives the same cache behaviour
-    // as characterizing the generator it was recorded from.
-    const PhaseSpec spec = mixedPhase();
+    // Characterizing a replayed trace gives the same profile as
+    // characterizing the generator it was recorded from, GPU kicks
+    // included.
     const Count n = 30'000;
+    for (const PhaseSpec &spec : {mixedPhase(), makeGlrender().phaseFor(0)}) {
+        TraceGenerator gen(spec, 7);
+        std::ostringstream os;
+        recordTrace(gen, n, os);
 
-    TraceGenerator gen(spec, 7);
-    std::ostringstream os;
-    recordTrace(gen, n, os);
+        SampleSimulatorConfig config;
+        config.simInstructionsPerSample = n;
+        config.warmupInstructions = 0;
 
-    SampleSimulatorConfig config;
-    config.simInstructionsPerSample = n;
-    config.warmupInstructions = 0;
+        SampleSimulator direct(config);
+        const SampleProfile from_gen =
+            direct.characterizeOne(spec, 7, n);
 
-    SampleSimulator direct(config);
-    const SampleProfile from_gen =
-        direct.characterizeOne(spec, 7, n);
+        SampleSimulator replayed(config);
+        TraceReplay replay = TraceReplay::fromString(os.str());
+        const SampleProfile from_replay =
+            replayed.characterizeTrace(replay, n, spec);
 
-    SampleSimulator replayed(config);
-    TraceReplay replay = TraceReplay::fromString(os.str());
-    const SampleProfile from_replay =
-        replayed.characterizeTrace(replay, n, spec);
-
-    EXPECT_DOUBLE_EQ(from_replay.l1Mpki, from_gen.l1Mpki);
-    EXPECT_DOUBLE_EQ(from_replay.l2Mpki, from_gen.l2Mpki);
-    EXPECT_DOUBLE_EQ(from_replay.rowHitFrac, from_gen.rowHitFrac);
-    EXPECT_DOUBLE_EQ(from_replay.dramWritesPerInstr,
-                     from_gen.dramWritesPerInstr);
+        for (std::size_t i = 0; i < kProfileRates.size(); ++i) {
+            EXPECT_DOUBLE_EQ(from_replay.*kProfileRates[i],
+                             from_gen.*kProfileRates[i])
+                << spec.name << " rate " << i;
+        }
+        if (spec.gpuKickFrac > 0.0) {
+            EXPECT_GT(from_gen.gpuWorkPerInstr, 0.0) << spec.name;
+        }
+    }
 }
 
 } // namespace
