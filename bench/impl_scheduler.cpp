@@ -44,7 +44,7 @@ main()
                  "transition time (ms)", "budgets held"});
     table.setTitle("multi-app scheduling under per-app budgets");
 
-    for (const auto [policy, label] :
+    for (const auto &[policy, label] :
          {std::pair{SchedPolicy::RoundRobin, "round-robin"},
           std::pair{SchedPolicy::RunToCompletion,
                     "run-to-completion"}}) {

@@ -41,7 +41,7 @@ main()
 
     BudgetScheduler scheduler;
 
-    for (const auto [policy, label] :
+    for (const auto &[policy, label] :
          {std::pair{SchedPolicy::RoundRobin, "round-robin"},
           std::pair{SchedPolicy::RunToCompletion,
                     "run-to-completion"}}) {

@@ -11,7 +11,10 @@
 #      and trace rings, trace enable/disable toggling, the telemetry
 #      sampler thread and SLO watchdog, the tuning daemon and its
 #      snapshot store, the streaming-resume path, the snapshot
-#      corruption fuzz, the three-domain daemon round-trip, the
+#      corruption fuzz, the request-boundary fuzz (two submitters and
+#      a mid-stream drain against the batcher), the settings space
+#      block every request copy shares, the three-domain daemon
+#      round-trip, the
 #      analysis results shared between pool and caller threads, and a
 #      loaded grid read by several threads at once) — the
 #      lock-free metric stripes, the strip CAS pop/steal protocol,
@@ -69,9 +72,10 @@ if [ "$run_tsan" = 1 ]; then
         svc_analysis_cache_test core_incremental_analysis_test \
         daemon_streaming_test \
         daemon_snapshot_fuzz_test integration_gpu_test \
-        svc_shared_results_test sim_grid_io_test
+        svc_shared_results_test sim_grid_io_test \
+        daemon_request_fuzz_test dvfs_settings_test
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|ShardedLru|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|SharedInputs|SharedResults|GridIo'
+        -R 'ThreadPool|ShardedLru|GridCache|Service|Obs|ParallelGrid|Trace|Daemon|SnapshotStore|AnalysisCache|Incremental|Streaming|ThreeDomain|Timeseries|Telemetry|SloWatchdog|ProfileCache|ProfileDedup|ProfileFingerprint|MemoizedCharacterization|SharedInputs|SharedResults|GridIo|RequestFuzz|SettingsSpace'
 fi
 
 echo "sanitize: all requested passes clean"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <unordered_map>
 #include <utility>
 
@@ -32,6 +33,8 @@ struct DaemonMetrics
     obs::Histogram gridStageNs;
     obs::Histogram analysisStageNs;
     obs::Histogram requestNs;
+    obs::Counter batcherCpuNs;
+    obs::Counter batcherWakes;
 
     DaemonMetrics()
     {
@@ -45,6 +48,8 @@ struct DaemonMetrics
         analysisStageNs =
             reg.histogram("daemon.analysis_stage_ns", latency);
         requestNs = reg.histogram("daemon.request_ns", latency);
+        batcherCpuNs = reg.counter("daemon.batcher_cpu_ns");
+        batcherWakes = reg.counter("daemon.batcher_wakes");
     }
 };
 
@@ -65,6 +70,21 @@ nextRequestId()
 {
     static std::atomic<std::uint64_t> next{1};
     return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/**
+ * CPU time of the calling thread (0 when metrics are compiled out).
+ * A system call, so the batcher reads it per batch, never per request.
+ */
+std::uint64_t
+threadCpuNs()
+{
+    if constexpr (!obs::kMetricsEnabled)
+        return 0;
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+           static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 } // namespace
@@ -150,6 +170,12 @@ TuningDaemon::submit(const svc::TuningRequest &request)
         obs::TraceContext{request_id, class_id});
     daemonMetrics().submitted.add(1);
 
+    // The copy shares the request's workload and space blocks, so it
+    // allocates nothing; the batcher groups by the key computed here.
+    Pending pending{request,
+                    service_.keyFor(request.workload, request.space),
+                    std::move(promise), obs::metricsNow(), request_id,
+                    class_id};
     ShedReason reason = ShedReason::None;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -158,9 +184,7 @@ TuningDaemon::submit(const svc::TuningRequest &request)
         } else if (queue_.size() >= options_.queueCapacity) {
             reason = ShedReason::QueueFull;
         } else {
-            queue_.push_back(Pending{request, std::move(promise),
-                                     obs::metricsNow(), request_id,
-                                     class_id});
+            queue_.push_back(std::move(pending));
             daemonMetrics().queueDepth.set(
                 static_cast<std::int64_t>(queue_.size()));
         }
@@ -185,7 +209,7 @@ TuningDaemon::submit(const svc::TuningRequest &request)
             record.shed = true;
             journal_->appendRequest(std::move(record));
         }
-        shed(std::move(promise), reason);
+        shed(std::move(pending.promise), reason);
         return future;
     }
 
@@ -198,13 +222,20 @@ TuningDaemon::submit(const svc::TuningRequest &request)
 void
 TuningDaemon::batcherLoop()
 {
+    // CPU accounting: the thread clock is read when the batcher leaves
+    // a wait and after each batch, never per group or per request.  A
+    // wake is a batch started from idle: the first one, and every one
+    // after a wait.
+    std::uint64_t cpu_mark = 0;
+    bool woke = true;
     for (;;) {
         std::vector<Pending> batch;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [this] {
-                return draining_ || !queue_.empty();
-            });
+            while (!draining_ && queue_.empty()) {
+                wake_.wait(lock);
+                woke = true;
+            }
             if (queue_.empty())
                 return;  // draining and nothing left to dispatch
             const std::size_t take =
@@ -217,7 +248,15 @@ TuningDaemon::batcherLoop()
             daemonMetrics().queueDepth.set(
                 static_cast<std::int64_t>(queue_.size()));
         }
+        if (woke) {
+            daemonMetrics().batcherWakes.add(1);
+            cpu_mark = threadCpuNs();
+            woke = false;
+        }
         dispatchBatch(std::move(batch));
+        const std::uint64_t cpu_now = threadCpuNs();
+        daemonMetrics().batcherCpuNs.add(cpu_now - cpu_mark);
+        cpu_mark = cpu_now;
     }
 }
 
@@ -227,82 +266,202 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
     obs::TraceSpan batch_span("daemon.dispatch_batch", batch.size());
     batches_.add();
 
-    // Coalesce by grid identity: every group characterizes its grid
-    // once; distinct groups run as independent pool tasks.
-    std::unordered_map<svc::GridKey, std::shared_ptr<std::vector<Pending>>,
-                       exec::DigestHash>
-        groups;
+    // Coalesce by grid identity: every group fetches or builds its
+    // grid once.
+    struct Group
+    {
+        std::vector<Pending> members;
+        /** The group's grid when the probe found it cached. */
+        std::shared_ptr<const MeasuredGrid> grid;
+        std::uint64_t gridNs = 0;
+    };
+    std::unordered_map<svc::GridKey, Group, exec::DigestHash> groups;
     for (Pending &pending : batch) {
-        std::shared_ptr<std::vector<Pending>> &members =
-            groups[service_.keyFor(pending.request.workload,
-                                   pending.request.space)];
-        if (members == nullptr) {
-            members = std::make_shared<std::vector<Pending>>();
-        } else {
+        Group &group = groups[pending.key];
+        if (!group.members.empty())
             coalesced_.add();
-        }
-        members->push_back(std::move(pending));
+        group.members.push_back(std::move(pending));
     }
 
-    std::lock_guard<std::mutex> lock(inflightMutex_);
-    // Reap finished groups so the in-flight list stays small.
-    inflight_.erase(
-        std::remove_if(inflight_.begin(), inflight_.end(),
-                       [](std::future<void> &f) {
-                           return f.wait_for(std::chrono::seconds(0)) ==
-                                  std::future_status::ready;
-                       }),
-        inflight_.end());
-    for (const auto &[key, members] : groups) {
-        inflight_.push_back(service_.pool().submit(
-            [this, key = key, members = members] {
-                runGroup(key, members);
-            }));
+    // A group whose grid this daemon is already building joins that
+    // build.  Every other group probes its grid once, under its first
+    // member's request flow; a group that must build becomes a pool
+    // task, submitted before any cached group runs, so distinct builds
+    // characterize concurrently and none waits behind warm work.
+    std::vector<std::future<void>> builds;
+    for (auto &[key, group] : groups) {
+        {
+            std::lock_guard<std::mutex> lock(inflightMutex_);
+            const auto it = building_.find(key);
+            if (it != building_.end()) {
+                coalesced_.add(group.members.size());
+                for (Pending &pending : group.members)
+                    it->second.push_back(std::move(pending));
+                continue;
+            }
+        }
+        const obs::Clock::time_point grid_start = obs::metricsNow();
+        try {
+            const Pending &lead = group.members.front();
+            obs::ScopedTraceContext grid_context(
+                obs::TraceContext{lead.requestId, lead.classId});
+            group.grid = service_.findGrid(key);
+        } catch (...) {
+            failGroup(group.members, std::current_exception());
+            continue;
+        }
+        group.gridNs = obs::elapsedNs(grid_start);
+        if (group.grid != nullptr) {
+            daemonMetrics().gridStageNs.record(group.gridNs);
+            continue;
+        }
+        {
+            std::lock_guard<std::mutex> lock(inflightMutex_);
+            building_.emplace(key, std::move(group.members));
+        }
+        try {
+            builds.push_back(service_.pool().submit(
+                [this, key = key, grid_ns = group.gridNs] {
+                    runBuild(key, grid_ns);
+                }));
+        } catch (...) {
+            std::vector<Pending> members = takeBuildMembers(key, true);
+            failGroup(members, std::current_exception());
+        }
+    }
+
+    if (!builds.empty()) {
+        std::lock_guard<std::mutex> lock(inflightMutex_);
+        // Reap finished builds so the in-flight list stays small.
+        inflight_.erase(
+            std::remove_if(inflight_.begin(), inflight_.end(),
+                           [](std::future<void> &f) {
+                               return f.wait_for(std::chrono::seconds(0)) ==
+                                      std::future_status::ready;
+                           }),
+            inflight_.end());
+        for (std::future<void> &build : builds)
+            inflight_.push_back(std::move(build));
+    }
+
+    for (auto &[key, group] : groups) {
+        if (group.grid == nullptr)
+            continue;
+        obs::TraceSpan group_span("daemon.run_group", group.members.size());
+        runGroup(key.combined(), group.members, group.grid, true,
+                 group.gridNs);
     }
 }
 
 void
-TuningDaemon::runGroup(const svc::GridKey &key,
-                       std::shared_ptr<std::vector<Pending>> members)
+TuningDaemon::failGroup(std::vector<Pending> &members,
+                        std::exception_ptr error)
 {
-    obs::TraceSpan group_span("daemon.run_group", members->size());
+    failed_.add(members.size());
+    for (Pending &pending : members)
+        pending.promise.set_exception(error);
+}
 
-    // Grid stage: one characterization (or cache hit) per group,
-    // attributed to the first member's request flow.  A failure here
-    // fails every member: they all need this grid.
-    const obs::Clock::time_point grid_start = obs::metricsNow();
+std::vector<TuningDaemon::Pending>
+TuningDaemon::takeBuildMembers(const svc::GridKey &key, bool release)
+{
+    std::lock_guard<std::mutex> lock(inflightMutex_);
+    const auto it = building_.find(key);
+    MCDVFS_ASSERT(it != building_.end(), "no build in flight for the key");
+    std::vector<Pending> members;
+    members.swap(it->second);
+    if (release)
+        building_.erase(it);
+    return members;
+}
+
+std::shared_ptr<const MeasuredGrid>
+TuningDaemon::buildStage(const svc::GridKey &key, const Pending &lead,
+                         bool probe, bool &grid_hit, std::uint64_t &grid_ns)
+{
+    // Attributed to the first member's request flow.
+    const obs::Clock::time_point start = obs::metricsNow();
+    std::shared_ptr<const MeasuredGrid> grid;
+    {
+        obs::ScopedTraceContext grid_context(
+            obs::TraceContext{lead.requestId, lead.classId});
+        if (probe)
+            grid = service_.findGrid(key);
+        grid_hit = grid != nullptr;
+        if (grid == nullptr) {
+            grid = service_.buildGrid(key, lead.request.workload,
+                                      lead.request.space, grid_hit);
+        }
+    }
+    grid_ns += obs::elapsedNs(start);
+    daemonMetrics().gridStageNs.record(grid_ns);
+    if (!grid_hit && store_ != nullptr)
+        store_->storeGrid(key, *grid);
+    return grid;
+}
+
+void
+TuningDaemon::runBuild(const svc::GridKey &key, std::uint64_t grid_ns)
+{
+    std::vector<Pending> members = takeBuildMembers(key, false);
+    obs::TraceSpan group_span("daemon.run_group", members.size());
+    const std::uint64_t digest = key.combined();
+
+    // Grid stage: one characterization (or a join of one in flight).
+    // A failure fails the members taken above: they all need this
+    // grid.
     bool grid_hit = false;
     std::shared_ptr<const MeasuredGrid> grid;
-    std::uint64_t grid_ns = 0;
     try {
-        {
-            const Pending &lead = members->front();
-            obs::ScopedTraceContext grid_context(
-                obs::TraceContext{lead.requestId, lead.classId});
-            grid = service_.grid(lead.request.workload,
-                                 lead.request.space, grid_hit);
-        }
-        grid_ns = obs::elapsedNs(grid_start);
-        daemonMetrics().gridStageNs.record(grid_ns);
-        if (!grid_hit && store_ != nullptr)
-            store_->storeGrid(key, *grid);
+        grid = buildStage(key, members.front(), false, grid_hit, grid_ns);
     } catch (...) {
-        failed_.add(members->size());
-        for (Pending &pending : *members)
-            pending.promise.set_exception(std::current_exception());
+        failGroup(members, std::current_exception());
+    }
+    if (grid != nullptr)
+        runGroup(digest, members, grid, grid_hit, grid_ns);
+
+    // One more take, which releases the key: the members that joined
+    // while this task ran.  Later batches probe again, so the task
+    // ends even under steady traffic on its key, and a built grid's
+    // later traffic runs on the batcher.  The first members' analyses
+    // are cached by now, so an identical joiner finds its analysis.
+    members = takeBuildMembers(key, true);
+    if (members.empty())
+        return;
+    if (grid != nullptr) {
+        runGroup(digest, members, grid, true, grid_ns);
         return;
     }
+    // The build failed: the joiners were not part of it, so they
+    // probe and build as their own group, as a later batch's would.
+    grid_ns = 0;
+    try {
+        grid = buildStage(key, members.front(), true, grid_hit, grid_ns);
+    } catch (...) {
+        failGroup(members, std::current_exception());
+        return;
+    }
+    runGroup(digest, members, grid, grid_hit, grid_ns);
+}
 
-    // Analysis stage: one per member (later members share the grid, so
-    // their grid stage is a hit by construction).  A member's failure
-    // (an invalid budget or threshold, say) resolves only that member.
-    const std::uint64_t digest = key.combined();
-    for (std::size_t i = 0; i < members->size(); ++i) {
-        Pending &pending = (*members)[i];
+void
+TuningDaemon::runGroup(std::uint64_t digest, std::vector<Pending> &members,
+                       const std::shared_ptr<const MeasuredGrid> &grid,
+                       bool lead_hit, std::uint64_t grid_ns)
+{
+    // One analysis per member (later members share the grid, so their
+    // grid stage is a hit by construction).  A member's failure (an
+    // invalid budget or threshold, say) resolves only that member.
+    // The daemon.completed{wl} series is looked up again only when a
+    // member's workload name differs from the previous member's.
+    obs::Counter completed_series;
+    const std::string *series_name = nullptr;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        Pending &pending = members[i];
         try {
-            // Re-enter the member's request scope on this pool
-            // thread: svc/analysis/arbiter spans and journal fills
-            // below all stamp its request id.
+            // Re-enter the member's request scope on this thread:
+            // svc/analysis/arbiter spans and journal fills below all
+            // stamp its request id.
             obs::ScopedTraceContext member_context(
                 obs::TraceContext{pending.requestId, pending.classId});
             const std::uint64_t queue_ns =
@@ -312,7 +471,7 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             const obs::Clock::time_point analysis_start =
                 obs::metricsNow();
             svc::TuningResult result = service_.analyze(
-                pending.request, digest, grid, i == 0 ? grid_hit : true);
+                pending.request, digest, grid, i == 0 ? lead_hit : true);
             const std::uint64_t analysis_ns =
                 obs::elapsedNs(analysis_start);
             daemonMetrics().analysisStageNs.record(analysis_ns);
@@ -342,6 +501,13 @@ TuningDaemon::runGroup(const svc::GridKey &key,
                 journal_->appendRequest(std::move(record));
             }
 
+            const std::string &name = pending.request.workload.name();
+            if (series_name == nullptr || name != *series_name) {
+                completed_series = obs::MetricsRegistry::global().counter(
+                    "daemon.completed", {{"wl", name}});
+                series_name = &name;
+            }
+
             DaemonResponse response;
             response.result = std::move(result);
             response.queueNs = queue_ns;
@@ -350,10 +516,7 @@ TuningDaemon::runGroup(const svc::GridKey &key,
             response.totalNs = obs::elapsedNs(pending.submittedAt);
             daemonMetrics().requestNs.record(response.totalNs);
             completed_.add();
-            obs::MetricsRegistry::global()
-                .counter("daemon.completed",
-                         {{"wl", pending.request.workload.name()}})
-                .add(1);
+            completed_series.add(1);
             pending.promise.set_value(std::move(response));
         } catch (...) {
             // The caller sees the exception through its future.
@@ -375,8 +538,8 @@ TuningDaemon::drain()
     if (batcher_.joinable())
         batcher_.join();
 
-    // Every dispatched group must finish before the pool drains (a
-    // drained pool rejects the service's internal batch submits).
+    // Every build group must finish before the pool drains (a drained
+    // pool rejects the service's internal batch submits).
     std::vector<std::future<void>> inflight;
     {
         std::lock_guard<std::mutex> lock(inflightMutex_);

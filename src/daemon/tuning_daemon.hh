@@ -8,9 +8,10 @@
  * through four stages:
  *
  *   submit() --> bounded queue --> batcher --> grid stage --> analysis
- *               (admission       (coalesce    (GridCache /   stage
- *                control,         by grid      build over    (Analysis-
- *                load-shed)       fingerprint) the pool)      Cache)
+ *               (admission       (coalesce    (GridCache     stage
+ *                control,         by grid      probe; a miss  (Analysis-
+ *                load-shed)       fingerprint) builds on the  Cache)
+ *                                              pool)
  *
  *  - Admission control: the submit queue is bounded; once its depth
  *    reaches queueCapacity, new requests are rejected immediately
@@ -18,12 +19,24 @@
  *    counted in daemon.shed{reason}.  A saturated daemon degrades by
  *    shedding load, not by growing an unbounded backlog.
  *  - Batching/coalescing: a dedicated batcher thread drains up to
- *    maxBatch requests at a time and groups them by grid fingerprint
- *    (workload, space, config); each group characterizes its grid once
- *    and fans the per-request analyses from it.  Groups run as
- *    independent pool tasks, so distinct grids characterize
- *    concurrently.  This is the library's one batch loop: the service
- *    underneath answers one request at a time.
+ *    maxBatch requests at a time and groups them by the GridKey each
+ *    request carries from submit() (workload, space, config); each
+ *    group probes the grid cache once and fans the per-request
+ *    analyses from that grid.  A cached group runs right there on the
+ *    batcher, so a warm decision crosses one thread boundary (caller
+ *    -> batcher).  An analysis miss on a cached grid (a new budget)
+ *    runs there too, its fill fanned over the pool, and the batch's
+ *    later cached groups wait for it.  Only a group that must build
+ *    becomes a pool task, submitted before the cached groups run, so
+ *    distinct grids characterize concurrently and no build waits
+ *    behind warm work.  A later batch's group whose grid is still
+ *    building joins that build's task and runs after its members, so
+ *    a grid is built once.  The task takes its members twice: those
+ *    waiting when it starts, then those that joined while it ran;
+ *    the second take releases the key, so later traffic on a built
+ *    grid probes, hits and runs on the batcher.
+ *    This is the library's one batch loop: the service underneath
+ *    answers one request at a time.
  *  - Persistence: with a SnapshotStore attached, every fresh grid
  *    build and fresh analysis is written through to the store (best
  *    effort: a failed write is counted and the request still
@@ -46,11 +59,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "daemon/snapshot_store.hh"
@@ -80,7 +95,11 @@ struct DaemonResponse
     /** Valid (grid != nullptr) only when shed == None. */
     svc::TuningResult result;
     ShedReason shed = ShedReason::None;
-    /** Nanoseconds from submit() to queue exit (0 when shed). */
+    /**
+     * Nanoseconds from submit() to the start of this request's
+     * analysis (0 when shed): queueing, batching, the group's grid
+     * stage and the analyses of earlier members of its group.
+     */
     std::uint64_t queueNs = 0;
     /** Nanoseconds in the grid stage (cache lookup or build). */
     std::uint64_t gridNs = 0;
@@ -124,7 +143,10 @@ struct DaemonStats
     std::uint64_t shedQueueFull = 0;
     std::uint64_t shedDraining = 0;
     std::uint64_t batches = 0;
-    /** Requests that shared a batch group with an earlier request. */
+    /**
+     * Requests that shared a batch group with an earlier request, or
+     * joined the build of a group from an earlier batch.
+     */
     std::uint64_t coalesced = 0;
     std::uint64_t completed = 0;
     /** Admitted requests whose future holds an exception. */
@@ -175,7 +197,7 @@ class TuningDaemon
      */
     void drain();
 
-    /** Requests admitted but not yet dispatched to the pool. */
+    /** Requests admitted but not yet taken by the batcher. */
     std::size_t queueDepth() const;
 
     DaemonStats stats() const;
@@ -195,6 +217,8 @@ class TuningDaemon
     struct Pending
     {
         svc::TuningRequest request;
+        /** The request's grid identity, computed once by submit(). */
+        svc::GridKey key;
         std::promise<DaemonResponse> promise;
         obs::Clock::time_point submittedAt;
         /** Process-unique request id (also the trace flow id). */
@@ -205,11 +229,45 @@ class TuningDaemon
 
     void warmLoad();
     void batcherLoop();
-    /** Dispatch one drained batch as per-grid-group pool tasks. */
+    /**
+     * Group one drained batch by grid, submit the groups that must
+     * build as pool tasks, then run the cached groups on this thread.
+     */
     void dispatchBatch(std::vector<Pending> batch);
-    /** Grid stage + analysis stage for one coalesced group. */
-    void runGroup(const svc::GridKey &key,
-                  std::shared_ptr<std::vector<Pending>> members);
+    /**
+     * Build task of @c key: the grid stage (build or join, then the
+     * snapshot) and the analysis stage of the members waiting for
+     * this build, then one more take, which releases the key, for the
+     * members later batches added while it ran.  @c grid_ns is the
+     * time the batcher spent probing.  Never throws: a grid-stage
+     * failure fails the members taken before it, and the later ones
+     * probe and build as their own group.
+     */
+    void runBuild(const svc::GridKey &key, std::uint64_t grid_ns);
+    /**
+     * Take the members waiting for @c key's build; with @c release,
+     * also erase the key, so the next batch probes the cache again.
+     */
+    std::vector<Pending> takeBuildMembers(const svc::GridKey &key,
+                                          bool release);
+    /**
+     * Grid stage of a build group led by @c lead: with @c probe, one
+     * counted cache probe first; on a miss, buildGrid() and the grid
+     * snapshot.  Adds its time to @c grid_ns.
+     */
+    std::shared_ptr<const MeasuredGrid> buildStage(
+        const svc::GridKey &key, const Pending &lead, bool probe,
+        bool &grid_hit, std::uint64_t &grid_ns);
+    /**
+     * Analysis stage of @c members over @c grid (whose GridKey digest
+     * is @c digest); @c lead_hit is the first member's grid-stage
+     * outcome.  Never throws: a failure resolves only that member.
+     */
+    void runGroup(std::uint64_t digest, std::vector<Pending> &members,
+                  const std::shared_ptr<const MeasuredGrid> &grid,
+                  bool lead_hit, std::uint64_t grid_ns);
+    /** Resolve every member of a group with @c error. */
+    void failGroup(std::vector<Pending> &members, std::exception_ptr error);
     /** Resolve a request immediately with a shed response. */
     static void shed(std::promise<DaemonResponse> promise,
                      ShedReason reason);
@@ -225,9 +283,18 @@ class TuningDaemon
     std::deque<Pending> queue_;
     bool draining_ = false;
 
-    /** In-flight batch-group futures, reaped as they complete. */
+    /**
+     * Build groups in flight: their task futures, reaped as they
+     * complete, and by key the members waiting for each build.  A
+     * later batch's group whose key is building joins the waiting
+     * members instead of probing, so it runs behind the build's first
+     * members (an identical request finds their analysis cached).
+     * The task releases the key after its second take.
+     */
     std::mutex inflightMutex_;
     std::vector<std::future<void>> inflight_;
+    std::unordered_map<svc::GridKey, std::vector<Pending>, exec::DigestHash>
+        building_;
 
     /** Serializes drain() callers (drain is idempotent). */
     std::mutex drainMutex_;

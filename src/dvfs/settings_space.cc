@@ -35,50 +35,45 @@ settingPreferred(const FrequencySetting &a, const FrequencySetting &b)
 }
 
 SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem)
-    : cpu_(std::move(cpu)), mem_(std::move(mem)),
-      fingerprint_(computeFingerprint())
+    : data_(makeData(std::move(cpu), std::move(mem), std::nullopt))
 {
-    checkSize();
 }
 
 SettingsSpace::SettingsSpace(FrequencyLadder cpu, FrequencyLadder mem,
                              FrequencyLadder gpu)
-    : cpu_(std::move(cpu)), mem_(std::move(mem)), gpu_(std::move(gpu)),
-      fingerprint_(computeFingerprint())
+    : data_(makeData(std::move(cpu), std::move(mem), std::move(gpu)))
 {
-    checkSize();
 }
 
-void
-SettingsSpace::checkSize() const
+std::shared_ptr<const SettingsSpace::Data>
+SettingsSpace::makeData(FrequencyLadder cpu, FrequencyLadder mem,
+                        std::optional<FrequencyLadder> gpu)
 {
     // Ladders are never empty, so one ladder past the bound puts the
-    // space past it too; checking each first keeps size() from
+    // space past it too; checking each first keeps the product from
     // overflowing.
-    const std::size_t gpu_steps = gpu_ ? gpu_->size() : 1;
-    if (cpu_.size() > kMaxSettings || mem_.size() > kMaxSettings ||
-        gpu_steps > kMaxSettings || size() > kMaxSettings) {
-        fatal("settings space of ", cpu_.size(), " x ", mem_.size(),
-              " x ", gpu_steps, " settings exceeds the limit of ",
-              kMaxSettings);
+    const std::size_t gpu_steps = gpu ? gpu->size() : 1;
+    if (cpu.size() > kMaxSettings || mem.size() > kMaxSettings ||
+        gpu_steps > kMaxSettings ||
+        cpu.size() * mem.size() * gpu_steps > kMaxSettings) {
+        fatal("settings space of ", cpu.size(), " x ", mem.size(), " x ",
+              gpu_steps, " settings exceeds the limit of ", kMaxSettings);
     }
-}
 
-std::uint64_t
-SettingsSpace::computeFingerprint() const
-{
     HashBuilder h;
-    h.add(static_cast<std::uint64_t>(domainCount()));
+    h.add(static_cast<std::uint64_t>(gpu ? 3 : 2));
     const auto add_ladder = [&h](const FrequencyLadder &ladder) {
         h.add(static_cast<std::uint64_t>(ladder.size()));
         for (const Hertz f : ladder.steps())
             h.add(f);
     };
-    add_ladder(cpu_);
-    add_ladder(mem_);
-    if (gpu_)
-        add_ladder(*gpu_);
-    return h.digest();
+    add_ladder(cpu);
+    add_ladder(mem);
+    if (gpu)
+        add_ladder(*gpu);
+    const std::uint64_t fingerprint = h.digest();
+    return std::make_shared<Data>(
+        Data{std::move(cpu), std::move(mem), std::move(gpu), fingerprint});
 }
 
 SettingsSpace
@@ -107,58 +102,62 @@ FrequencySetting
 SettingsSpace::at(std::size_t idx) const
 {
     MCDVFS_ASSERT(idx < size(), "settings index out of range");
+    const Data &d = *data_;
     FrequencySetting setting;
-    if (gpu_) {
-        const std::size_t g = gpu_->size();
-        setting.gpu = gpu_->at(idx % g);
+    if (d.gpu) {
+        const std::size_t g = d.gpu->size();
+        setting.gpu = d.gpu->at(idx % g);
         idx /= g;
     }
-    setting.cpu = cpu_.at(idx / mem_.size());
-    setting.mem = mem_.at(idx % mem_.size());
+    setting.cpu = d.cpu.at(idx / d.mem.size());
+    setting.mem = d.mem.at(idx % d.mem.size());
     return setting;
 }
 
 std::size_t
 SettingsSpace::indexOf(const FrequencySetting &setting) const
 {
-    const std::size_t ci = cpu_.closestIndex(setting.cpu);
-    const std::size_t mi = mem_.closestIndex(setting.mem);
-    if (std::abs(cpu_.at(ci) - setting.cpu) > 1.0 ||
-        std::abs(mem_.at(mi) - setting.mem) > 1.0) {
+    const Data &d = *data_;
+    const std::size_t ci = d.cpu.closestIndex(setting.cpu);
+    const std::size_t mi = d.mem.closestIndex(setting.mem);
+    if (std::abs(d.cpu.at(ci) - setting.cpu) > 1.0 ||
+        std::abs(d.mem.at(mi) - setting.mem) > 1.0) {
         fatal("setting ", setting.label(), " is not in this space");
     }
-    if (!gpu_) {
+    if (!d.gpu) {
         if (setting.gpu != 0.0)
             fatal("setting ", setting.label(),
                   " names a GPU frequency but this space has no GPU "
                   "domain");
-        return ci * mem_.size() + mi;
+        return ci * d.mem.size() + mi;
     }
-    const std::size_t gi = gpu_->closestIndex(setting.gpu);
-    if (std::abs(gpu_->at(gi) - setting.gpu) > 1.0)
+    const std::size_t gi = d.gpu->closestIndex(setting.gpu);
+    if (std::abs(d.gpu->at(gi) - setting.gpu) > 1.0)
         fatal("setting ", setting.label(), " is not in this space");
-    return (ci * mem_.size() + mi) * gpu_->size() + gi;
+    return (ci * d.mem.size() + mi) * d.gpu->size() + gi;
 }
 
 FrequencySetting
 SettingsSpace::maxSetting() const
 {
-    return FrequencySetting{cpu_.highest(), mem_.highest(),
-                            gpu_ ? gpu_->highest() : 0.0};
+    const Data &d = *data_;
+    return FrequencySetting{d.cpu.highest(), d.mem.highest(),
+                            d.gpu ? d.gpu->highest() : 0.0};
 }
 
 FrequencySetting
 SettingsSpace::minSetting() const
 {
-    return FrequencySetting{cpu_.lowest(), mem_.lowest(),
-                            gpu_ ? gpu_->lowest() : 0.0};
+    const Data &d = *data_;
+    return FrequencySetting{d.cpu.lowest(), d.mem.lowest(),
+                            d.gpu ? d.gpu->lowest() : 0.0};
 }
 
 const FrequencyLadder &
 SettingsSpace::gpuLadder() const
 {
-    MCDVFS_ASSERT(gpu_.has_value(), "space has no GPU domain");
-    return *gpu_;
+    MCDVFS_ASSERT(data_->gpu.has_value(), "space has no GPU domain");
+    return *data_->gpu;
 }
 
 std::vector<FrequencySetting>

@@ -15,6 +15,10 @@
  *
  * Construction rejects spaces over kMaxSettings, the SettingMask
  * capacity, so the analyses never need to check a space's size.
+ *
+ * A space is immutable: its ladders and fingerprint live in one shared
+ * block built by the constructor, so a copy (every TuningRequest
+ * carries one) is a reference-count increment, not two vector copies.
  */
 
 #ifndef MCDVFS_DVFS_SETTINGS_SPACE_HH
@@ -22,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -84,16 +89,17 @@ class SettingsSpace
     static SettingsSpace coarse3();
 
     /** Number of frequency domains (2 or 3). */
-    std::size_t domainCount() const { return gpu_ ? 3 : 2; }
+    std::size_t domainCount() const { return data_->gpu ? 3 : 2; }
 
     /** True when the space carries a GPU domain. */
-    bool hasGpu() const { return gpu_.has_value(); }
+    bool hasGpu() const { return data_->gpu.has_value(); }
 
     /** Total number of settings. */
     std::size_t
     size() const
     {
-        return cpu_.size() * mem_.size() * (gpu_ ? gpu_->size() : 1);
+        return data_->cpu.size() * data_->mem.size() *
+               (data_->gpu ? data_->gpu->size() : 1);
     }
 
     /** Setting at flat index (CPU-major, GPU fastest-varying). */
@@ -108,8 +114,8 @@ class SettingsSpace
     /** Lowest setting (min frequency in every domain). */
     FrequencySetting minSetting() const;
 
-    const FrequencyLadder &cpuLadder() const { return cpu_; }
-    const FrequencyLadder &memLadder() const { return mem_; }
+    const FrequencyLadder &cpuLadder() const { return data_->cpu; }
+    const FrequencyLadder &memLadder() const { return data_->mem; }
 
     /** GPU ladder; only valid when hasGpu(). */
     const FrequencyLadder &gpuLadder() const;
@@ -125,19 +131,28 @@ class SettingsSpace
      * space that shares its CPU x mem prefix.  This is the space word
      * of svc::GridKey.
      */
-    std::uint64_t fingerprint() const { return fingerprint_; }
+    std::uint64_t fingerprint() const { return data_->fingerprint; }
 
   private:
-    /** @throws FatalError beyond kMaxSettings */
-    void checkSize() const;
+    /** Everything a space is, built once by the constructors. */
+    struct Data
+    {
+        FrequencyLadder cpu;
+        FrequencyLadder mem;
+        std::optional<FrequencyLadder> gpu;
+        std::uint64_t fingerprint = 0;
+    };
 
-    /** The fingerprint() of the ladders this space was built from. */
-    std::uint64_t computeFingerprint() const;
+    /**
+     * The block of a space over these ladders.
+     *
+     * @throws FatalError beyond kMaxSettings
+     */
+    static std::shared_ptr<const Data> makeData(
+        FrequencyLadder cpu, FrequencyLadder mem,
+        std::optional<FrequencyLadder> gpu);
 
-    FrequencyLadder cpu_;
-    FrequencyLadder mem_;
-    std::optional<FrequencyLadder> gpu_;
-    std::uint64_t fingerprint_ = 0;
+    std::shared_ptr<const Data> data_;
 };
 
 } // namespace mcdvfs

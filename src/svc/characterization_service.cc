@@ -130,16 +130,32 @@ CharacterizationService::gridFor(const GridKey &key,
                                  const SettingsSpace &space,
                                  bool &cache_hit)
 {
-    if (auto cached = cache_.find(key)) {
-        obs::traceInstant("svc.cache_hit");
+    if (auto cached = findGrid(key)) {
         cache_hit = true;
         return cached;
     }
+    return buildGrid(key, workload, space, cache_hit);
+}
 
-    // Not cached: either claim the build or coalesce with whoever is
-    // already characterizing this key.  The builder runs the build on
-    // its own thread (never queued behind a waiter), so waiting on the
-    // shared future cannot deadlock, even from a pool worker.
+std::shared_ptr<const MeasuredGrid>
+CharacterizationService::findGrid(const GridKey &key)
+{
+    std::shared_ptr<const MeasuredGrid> cached = cache_.find(key);
+    if (cached != nullptr)
+        obs::traceInstant("svc.cache_hit");
+    return cached;
+}
+
+std::shared_ptr<const MeasuredGrid>
+CharacterizationService::buildGrid(const GridKey &key,
+                                   const WorkloadProfile &workload,
+                                   const SettingsSpace &space,
+                                   bool &coalesced)
+{
+    // Either claim the build or coalesce with whoever is already
+    // characterizing this key.  The builder runs the build on its own
+    // thread (never queued behind a waiter), so waiting on the shared
+    // future cannot deadlock, even from a pool worker.
     std::promise<std::shared_ptr<const MeasuredGrid>> promise;
     std::shared_future<std::shared_ptr<const MeasuredGrid>> watch;
     {
@@ -154,7 +170,7 @@ CharacterizationService::gridFor(const GridKey &key,
     if (watch.valid()) {
         serviceMetrics().coalescedWaits.add(1);
         obs::TraceSpan wait_span("svc.coalesced_wait");
-        cache_hit = true;
+        coalesced = true;
         return watch.get();
     }
 
@@ -174,7 +190,7 @@ CharacterizationService::gridFor(const GridKey &key,
         }
         serviceMetrics().inflightBuilds.add(-1);
         promise.set_value(grid);
-        cache_hit = false;
+        coalesced = false;
         return grid;
     } catch (...) {
         {

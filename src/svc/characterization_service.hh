@@ -226,6 +226,22 @@ class CharacterizationService
                    const SettingsSpace &space) const;
 
     /**
+     * The cached grid of @c key, or nullptr: one counted grid-cache
+     * hit or miss.  grid() is findGrid() and, on a miss, buildGrid().
+     */
+    std::shared_ptr<const MeasuredGrid> findGrid(const GridKey &key);
+
+    /**
+     * The grid of @c key after findGrid() missed: joins the build of
+     * @c key already in flight, or claims, runs and inserts it.
+     * @c coalesced reports whether this call joined another build
+     * instead of characterizing.  Counts no second cache hit or miss.
+     */
+    std::shared_ptr<const MeasuredGrid> buildGrid(
+        const GridKey &key, const WorkloadProfile &workload,
+        const SettingsSpace &space, bool &coalesced);
+
+    /**
      * Run (or fetch from the analysis cache) the §V/§VI analysis chain
      * for one request over an already-fetched grid.  @c grid_digest is
      * the grid's GridKey::combined(); @c cache_hit is copied into the
@@ -285,11 +301,11 @@ class CharacterizationService
     const SystemConfig &config() const { return config_; }
     std::size_t jobs() const { return pool_.size(); }
 
-    /** The pool grid builds, analysis fills and daemon groups use. */
+    /** The pool grid builds, analysis fills and daemon builds use. */
     exec::ThreadPool &pool() { return pool_; }
 
   private:
-    /** Grid lookup that also reports whether a build was skipped. */
+    /** findGrid(), then buildGrid() on a miss. */
     std::shared_ptr<const MeasuredGrid> gridFor(
         const GridKey &key, const WorkloadProfile &workload,
         const SettingsSpace &space, bool &cache_hit);

@@ -676,7 +676,7 @@ workloadByName(const std::string &name)
     }
     std::string known;
     for (const StockProfile &stock : kStockProfiles)
-        known += (known.empty() ? "" : " ") + std::string(stock.name);
+        known.append(known.empty() ? "" : " ").append(stock.name);
     fatal("unknown workload '", name, "' (expected one of: ", known, ")");
 }
 

@@ -50,9 +50,10 @@ TEST(BaselineComparison, InefficiencyPoliciesHonorBudget)
     BaselineComparison comparison(test::phasedGrid());
     const double budget = 1.3;
     for (const auto &row : comparison.compare(budget, 0.03, 0.10)) {
-        if (row.policy.rfind("inefficiency", 0) == 0)
+        if (row.policy.rfind("inefficiency", 0) == 0) {
             EXPECT_LE(row.achievedInefficiency, budget + 1e-9)
                 << row.policy;
+        }
     }
 }
 

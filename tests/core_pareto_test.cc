@@ -32,9 +32,10 @@ TEST(Pareto, FrontierPointsAreMutuallyNonDominated)
     const auto frontier = pareto.runFrontier();
     for (const auto &a : frontier) {
         for (const auto &b : frontier) {
-            if (a.settingIndex != b.settingIndex)
+            if (a.settingIndex != b.settingIndex) {
                 EXPECT_FALSE(pareto.dominates(a.settingIndex,
                                               b.settingIndex));
+            }
         }
     }
 }

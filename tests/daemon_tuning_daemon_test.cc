@@ -5,15 +5,23 @@
  * drain completes every admitted request, a warm restart answers
  * from the snapshot store, a failed snapshot write does not fail the
  * request, an invalid request fails alone and is counted as failed,
- * and the journal's class id is the FNV-1a of the workload name.
+ * cached groups run on the batcher without a pool task, a later
+ * batch's request for a grid being built joins that build, a build
+ * task ends under steady traffic on its key, and the journal's class
+ * id is the FNV-1a of the workload name.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <future>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/hash.hh"
@@ -164,8 +172,8 @@ TEST(TuningDaemon, ShedsWhenTheQueueIsFull)
     options.maxBatch = 1;
     TuningDaemon daemon(fastConfig(), options);
 
-    // A tight submit loop outpaces the batcher (which fingerprints
-    // every request it dispatches), so the two-deep queue must
+    // A tight submit loop outpaces the batcher (which runs a batch of
+    // at most one request at a time), so the two-deep queue must
     // overflow quickly; bound the attempts so the test cannot hang.
     std::vector<std::future<DaemonResponse>> futures;
     const svc::TuningRequest request = tinyRequest();
@@ -344,6 +352,163 @@ TEST(TuningDaemon, CountsFailedRequests)
     EXPECT_EQ(stats.shedQueueFull + stats.shedDraining, 0u);
     if (obs::kMetricsEnabled) {
         EXPECT_EQ(failed_series.value() - failed0, 1u);
+    }
+}
+
+TEST(TuningDaemon, WarmGroupsStayOnTheBatcher)
+{
+    DaemonOptions options;
+    options.service.jobs = 2;
+    TuningDaemon daemon(fastConfig(), options);
+    // One grid and its analyses at two budgets.
+    const std::vector<svc::TuningRequest> classes = {
+        tinyRequest("tiny", 1.3), tinyRequest("tiny", 1.6)};
+    for (const svc::TuningRequest &request : classes)
+        ASSERT_TRUE(daemon.submit(request).get().ok());
+
+    // Read before the direct service below runs: its builds use the
+    // pool too.
+    const obs::Counter pool_tasks =
+        obs::MetricsRegistry::global().counter("exec.pool.tasks_submitted");
+    const std::uint64_t tasks0 = pool_tasks.value();
+    std::vector<std::future<DaemonResponse>> futures;
+    for (std::size_t i = 0; i < 64; ++i)
+        futures.push_back(daemon.submit(classes[i % classes.size()]));
+    daemon.drain();
+    const std::uint64_t tasks1 = pool_tasks.value();
+
+    std::vector<DaemonResponse> responses;
+    for (std::future<DaemonResponse> &future : futures) {
+        responses.push_back(future.get());
+        ASSERT_TRUE(responses.back().ok());
+        EXPECT_TRUE(responses.back().result.cacheHit);
+        EXPECT_TRUE(responses.back().result.analysisCacheHit);
+    }
+    // Every group was a cache hit, so none became a pool task.
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(tasks1, tasks0);
+    }
+
+    svc::CharacterizationService direct(fastConfig());
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+        const svc::TuningResult expected = direct.submit(classes[c]);
+        for (std::size_t i = c; i < responses.size(); i += classes.size())
+            expectResultsBitEqual(responses[i].result, expected);
+    }
+}
+
+TEST(TuningDaemon, LaterBatchesJoinAGridBeingBuilt)
+{
+    // One request per batch: the second, identical request reaches the
+    // batcher while the first one's grid is still building.  It joins
+    // that build and runs after the first (or, arriving later, finds
+    // both caches warm), so the first request builds the grid and the
+    // analysis is computed and stored once.
+    const std::string dir = "daemon_join_store";
+    fs::remove_all(dir);
+    DaemonOptions options;
+    options.service.jobs = 2;
+    options.maxBatch = 1;
+    options.storeDir = dir;
+    TuningDaemon daemon(fastConfig(), options);
+    std::future<DaemonResponse> first = daemon.submit(tinyRequest());
+    std::future<DaemonResponse> second = daemon.submit(tinyRequest());
+    const DaemonResponse a = first.get();
+    const DaemonResponse b = second.get();
+    daemon.drain();
+
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_FALSE(a.result.cacheHit);
+    EXPECT_TRUE(b.result.cacheHit);
+    EXPECT_TRUE(b.result.analysisCacheHit);
+    EXPECT_EQ(a.result.grid.get(), b.result.grid.get());
+    EXPECT_EQ(daemon.stats().batches, 2u);
+    EXPECT_EQ(daemon.store()->stats().gridStores, 1u);
+    EXPECT_EQ(daemon.store()->stats().analysisStores, 1u);
+    fs::remove_all(dir);
+}
+
+TEST(TuningDaemon, BuildTaskEndsUnderSteadyTrafficOnItsKey)
+{
+    // One pool worker, so a second key's build task waits behind the
+    // first key's.  While the first key's grid builds, four callers
+    // start to keep 32 requests each in flight on it, every one a new
+    // budget (an analysis miss), so they resubmit faster than a build
+    // task analyzes.  The build task must still end: it serves at
+    // most the requests in flight at its two takes, and the key's
+    // later traffic runs on the batcher.  The second build must finish
+    // while that traffic goes on.
+    constexpr std::size_t kCallers = 4;
+    constexpr std::size_t kWindow = 32;
+    DaemonOptions options;
+    options.service.jobs = 1;
+    TuningDaemon daemon(fastConfig(), options);
+    std::future<DaemonResponse> lead = daemon.submit(tinyRequest("first"));
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> served{0};
+    std::vector<std::vector<DaemonResponse>> responses(kCallers);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+        callers.emplace_back([&, c] {
+            std::deque<std::future<DaemonResponse>> window;
+            std::size_t next = c;
+            while (!stop.load()) {
+                while (window.size() < kWindow) {
+                    const double budget = 1.3 + 1e-6 * double(next);
+                    window.push_back(
+                        daemon.submit(tinyRequest("first", budget)));
+                    next += kCallers;
+                }
+                responses[c].push_back(window.front().get());
+                window.pop_front();
+                served.fetch_add(1);
+            }
+            for (std::future<DaemonResponse> &future : window)
+                responses[c].push_back(future.get());
+        });
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (served.load() < 4 * kCallers * kWindow &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    std::future<DaemonResponse> second =
+        daemon.submit(tinyRequest("second"));
+    const bool finished =
+        second.wait_until(deadline) == std::future_status::ready;
+    stop.store(true);
+    for (std::thread &caller : callers)
+        caller.join();
+    daemon.drain();
+
+    ASSERT_TRUE(finished);
+    const DaemonResponse response = second.get();
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response.result.cacheHit);
+
+    // The build task's members all report its grid stage; the batcher's
+    // report their own probe.  Stage clocks read zero with metrics off.
+    std::vector<DaemonResponse> first{lead.get()};
+    for (std::vector<DaemonResponse> &caller : responses) {
+        for (DaemonResponse &r : caller) {
+            ASSERT_TRUE(r.ok());
+            first.push_back(std::move(r));
+        }
+    }
+    const auto builder =
+        std::find_if(first.begin(), first.end(), [](const auto &r) {
+            return !r.result.cacheHit;
+        });
+    ASSERT_NE(builder, first.end());
+    if (obs::kMetricsEnabled) {
+        const auto on_build_task =
+            std::count_if(first.begin(), first.end(), [&](const auto &r) {
+                return r.gridNs == builder->gridNs;
+            });
+        EXPECT_LE(static_cast<std::size_t>(on_build_task),
+                  1 + 2 * kCallers * kWindow);
     }
 }
 

@@ -111,6 +111,25 @@ TEST(SettingsSpace, RejectsSpacesOverTheBound)
         SettingsSpace::kMaxSettings);
 }
 
+TEST(SettingsSpace, CopiesShareOneBlock)
+{
+    // A space is one immutable block: a copy (every request carries
+    // one) shares its source's ladders instead of copying them.
+    const SettingsSpace fine = SettingsSpace::fine();
+    const SettingsSpace fine_copy = fine;
+    EXPECT_EQ(&fine_copy.cpuLadder(), &fine.cpuLadder());
+    EXPECT_EQ(&fine_copy.memLadder(), &fine.memLadder());
+    EXPECT_EQ(fine_copy.fingerprint(), fine.fingerprint());
+
+    const SettingsSpace coarse3 = SettingsSpace::coarse3();
+    SettingsSpace coarse3_copy = SettingsSpace::coarse();
+    coarse3_copy = coarse3;
+    EXPECT_EQ(&coarse3_copy.cpuLadder(), &coarse3.cpuLadder());
+    EXPECT_EQ(&coarse3_copy.memLadder(), &coarse3.memLadder());
+    EXPECT_EQ(&coarse3_copy.gpuLadder(), &coarse3.gpuLadder());
+    EXPECT_EQ(coarse3_copy.fingerprint(), coarse3.fingerprint());
+}
+
 /** Property: at() is CPU-major and consistent with the ladders. */
 TEST(SettingsSpace, CpuMajorLayout)
 {

@@ -119,8 +119,9 @@ TEST(Prefetcher, VictimWritebacksAreOrderedBeforePrefetch)
         const DramRequest &req = outcome.dram[d];
         if (!req.isWrite && !req.isPrefetch)
             saw_demand_read = true;
-        if (req.isPrefetch)
+        if (req.isPrefetch) {
             EXPECT_FALSE(req.isWrite);
+        }
     }
     EXPECT_TRUE(saw_demand_read);
 }

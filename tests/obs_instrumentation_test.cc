@@ -385,6 +385,9 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
     const std::uint64_t admitted0 = counterValue("daemon.admitted");
     const std::uint64_t completed0 = counterValue("daemon.completed");
     const std::uint64_t batches0 = counterValue("daemon.batches");
+    const std::uint64_t batcherCpu0 = counterValue("daemon.batcher_cpu_ns");
+    const std::uint64_t batcherWakes0 =
+        counterValue("daemon.batcher_wakes");
     obs::Counter drain_shed = obs::MetricsRegistry::global().counter(
         "daemon.shed", {{"reason", "draining"}});
     const std::uint64_t drainShed0 = drain_shed.value();
@@ -436,6 +439,13 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
     // The two identical requests land in one or two batches/groups
     // depending on batcher timing; either way both complete.
     EXPECT_GE(counterValue("daemon.batches"), batches0 + 1);
+    // The batcher's CPU and wakes are counted per batch; a wake starts
+    // at least the first batch and at most every batch.
+    EXPECT_GT(counterValue("daemon.batcher_cpu_ns"), batcherCpu0);
+    const std::uint64_t wakes =
+        counterValue("daemon.batcher_wakes") - batcherWakes0;
+    EXPECT_GE(wakes, 1u);
+    EXPECT_LE(wakes, counterValue("daemon.batches") - batches0);
     EXPECT_GE(histogramCount("daemon.grid_stage_ns"), gridStages0 + 1);
     EXPECT_EQ(histogramCount("daemon.queue_wait_ns"), queueWaits0 + 2);
     EXPECT_EQ(histogramCount("daemon.analysis_stage_ns"),

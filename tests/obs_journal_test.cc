@@ -145,8 +145,9 @@ TEST(DecisionJournal, RecordsCarryDecisionContext)
         last_overhead_ns = record.overheadNs;
         // Oracle re-tunes exactly at stable-region starts, which by
         // construction lie inside a region.
-        if (record.retuned)
+        if (record.retuned) {
             EXPECT_GE(record.region, 0);
+        }
     }
 }
 

@@ -32,7 +32,7 @@ repeatingWorkload(std::size_t samples, std::size_t distinct, bool gpu)
         [distinct, gpu](std::size_t s) {
             const std::size_t v = s % distinct;
             PhaseSpec spec;
-            spec.name = "p" + std::to_string(v);
+            spec.name = std::string("p").append(std::to_string(v));
             spec.baseCpi = 0.8 + 0.05 * static_cast<double>(v);
             spec.hotFrac = 0.95 - 0.03 * static_cast<double>(v % 2);
             spec.warmFrac = 0.03;
@@ -143,7 +143,7 @@ TEST(ProfileDedupProperty, UniqueProfilesTakeTheSamePath)
         "all-unique", 8,
         [](std::size_t s) {
             PhaseSpec spec;
-            spec.name = "u" + std::to_string(s);
+            spec.name = std::string("u").append(std::to_string(s));
             spec.baseCpi = 0.7 + 0.02 * static_cast<double>(s);
             spec.hotFrac = 0.9;
             spec.warmFrac = 0.05;

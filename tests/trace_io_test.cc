@@ -41,8 +41,9 @@ TEST(TraceIo, RecordReplayRoundTrip)
         const InstrRecord expected = reference.next();
         const InstrRecord actual = replay.next();
         ASSERT_EQ(actual.kind, expected.kind) << "instr " << i;
-        if (isMemory(expected.kind))
+        if (isMemory(expected.kind)) {
             ASSERT_EQ(actual.addr, expected.addr) << "instr " << i;
+        }
     }
 }
 

@@ -415,7 +415,7 @@ cmdSchedule(const ArgParser &args)
         apps[i].grid = &suite.grid(names[i]);
 
     BudgetScheduler scheduler;
-    for (const auto [policy, label] :
+    for (const auto &[policy, label] :
          {std::pair{SchedPolicy::RoundRobin, "round-robin"},
           std::pair{SchedPolicy::RunToCompletion,
                     "run-to-completion"}}) {
