@@ -15,19 +15,22 @@
  *
  * The metrics snapshot is written next to MCDVFS_BENCH_OUT (default
  * BENCH_search.json) as a .metrics.json sidecar, so counter deltas
- * travel with the timing numbers; a --benchmark_filter=70 run doubles
- * as the tier-1 "perf_smoke" ctest without ever building the fine
- * grid (fixtures are lazy per space).
+ * travel with the timing numbers.  A --benchmark_filter='70|Canonical|Layer'
+ * run doubles as the tier-1 "perf_smoke" ctest without ever building
+ * the fine grid (fixtures are lazy per space), and runs
+ * BM_LayerGenerate's check that block generation reproduces next().
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "bench_json.hh"
+#include "common/logging.hh"
 #include "core/search_strategies.hh"
 #include "obs/metrics.hh"
 #include "repro/analyses.hh"
@@ -190,9 +193,20 @@ BM_CharacterizeCanonical(benchmark::State &state, const char *name)
         static_cast<std::int64_t>(config.profileWarmupInstructions +
                                   config.simInstructionsPerSample));
 }
+// The twelve workloads perfbench serves: what a miss costs, and which
+// layer spends it, varies with each one's mix and footprint.
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, bzip2, "bzip2");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, gcc, "gcc");
 BENCHMARK_CAPTURE(BM_CharacterizeCanonical, gobmk, "gobmk");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, lbm, "lbm");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, libquantum, "libq.");
 BENCHMARK_CAPTURE(BM_CharacterizeCanonical, milc, "milc");
 BENCHMARK_CAPTURE(BM_CharacterizeCanonical, mcf, "mcf");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, hmmer, "hmmer");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, sjeng, "sjeng");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, omnetpp, "omnetpp");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, namd, "namd");
+BENCHMARK_CAPTURE(BM_CharacterizeCanonical, soplex, "soplex");
 
 /**
  * What canonical characterizations of a workload's first eight samples
@@ -202,17 +216,12 @@ BENCHMARK_CAPTURE(BM_CharacterizeCanonical, mcf, "mcf");
  */
 struct LayerStreams
 {
-    struct Access
-    {
-        std::uint64_t addr;
-        bool isWrite;
-    };
     static constexpr std::size_t kSamples = 8;
     static constexpr Count kStream = 20'000;
 
     std::vector<std::pair<PhaseSpec, std::uint64_t>> streams;
-    std::vector<Access> refs[kSamples];  ///< memory references
-    std::vector<Access> dram[kSamples];  ///< DRAM requests they cause
+    std::vector<MemoryRef> refs[kSamples];  ///< memory references
+    std::vector<MemoryRef> dram[kSamples];  ///< DRAM requests they cause
 
     static const LayerStreams &
     of(const char *name)
@@ -254,16 +263,63 @@ struct LayerStreams
     }
 };
 
-/** Instruction generation alone; items are instructions. */
+/**
+ * Fatal unless the block calls the simulator loop makes reproduce
+ * the memory references next() recorded for every sample.
+ */
+void
+checkBlockCalls(const LayerStreams &streams)
+{
+    constexpr Count kChunk = SampleSimulator::kChunkInstructions;
+    std::vector<MemoryRef> chunk;
+    for (std::size_t s = 0; s < LayerStreams::kSamples; ++s) {
+        std::vector<MemoryRef> sample;
+        for (std::size_t k = 3 * s; k < 3 * s + 3; ++k) {
+            TraceGenerator gen(streams.streams[k].first,
+                               streams.streams[k].second);
+            for (Count done = 0; done < LayerStreams::kStream;
+                 done += kChunk) {
+                gen.nextMemoryRefs(
+                    std::min(kChunk, LayerStreams::kStream - done), chunk);
+                sample.insert(sample.end(), chunk.begin(), chunk.end());
+            }
+        }
+        const std::vector<MemoryRef> &want = streams.refs[s];
+        if (!std::equal(sample.begin(), sample.end(), want.begin(),
+                        want.end(),
+                        [](const MemoryRef &a, const MemoryRef &b) {
+                            return a.addr == b.addr &&
+                                   a.isWrite == b.isWrite;
+                        })) {
+            fatal("micro_search_overhead: block generation of sample ",
+                  s, " of ", streams.streams[3 * s].first.name,
+                  " diverges from next()");
+        }
+    }
+}
+
+/**
+ * Instruction generation alone, by the block calls the simulator loop
+ * makes; items are instructions.
+ */
 void
 BM_LayerGenerate(benchmark::State &state, const char *name)
 {
+    constexpr Count kChunk = SampleSimulator::kChunkInstructions;
     const LayerStreams &streams = LayerStreams::of(name);
+    checkBlockCalls(streams);
+    std::vector<MemoryRef> chunk;
+    chunk.reserve(kChunk);
     for (auto _ : state) {
         for (const auto &[phase, seed] : streams.streams) {
             TraceGenerator gen(phase, seed);
-            for (Count i = 0; i < LayerStreams::kStream; ++i)
-                benchmark::DoNotOptimize(gen.next());
+            for (Count done = 0; done < LayerStreams::kStream;
+                 done += kChunk) {
+                benchmark::DoNotOptimize(gen.nextMemoryRefs(
+                    std::min(kChunk, LayerStreams::kStream - done), chunk));
+                benchmark::DoNotOptimize(chunk.data());
+                benchmark::ClobberMemory();
+            }
         }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -289,7 +345,7 @@ BM_LayerHierarchy(benchmark::State &state, const char *name)
             state.PauseTiming();
             hierarchy.reset();
             state.ResumeTiming();
-            for (const LayerStreams::Access &ref : refs) {
+            for (const MemoryRef &ref : refs) {
                 benchmark::DoNotOptimize(
                     hierarchy.access(ref.addr, ref.isWrite));
             }
@@ -312,7 +368,7 @@ BM_LayerDram(benchmark::State &state, const char *name)
     for (auto _ : state) {
         for (const auto &requests : streams.dram) {
             dram.reset();
-            for (const LayerStreams::Access &req : requests)
+            for (const MemoryRef &req : requests)
                 benchmark::DoNotOptimize(dram.access(req.addr, req.isWrite));
             items += static_cast<std::int64_t>(requests.size());
         }

@@ -41,6 +41,15 @@ Rng::Bound::Bound(std::uint64_t bound)
     threshold_ = (0 - bound) % bound;
 }
 
+void
+Rng::fill(std::uint64_t *out, std::size_t n)
+{
+    Rng local = *this;
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = local.next();
+    *this = local;
+}
+
 std::uint64_t
 Rng::uniform53Threshold(double p)
 {

@@ -7,14 +7,15 @@
  * are implementation-defined).  Rng implements xoshiro256** seeded via
  * SplitMix64, with distribution helpers defined by this library.
  *
- * The draws the trace generator makes per simulated instruction
- * (next(), uniform53(), uniformInt() over a precomputed Bound,
- * chance()) are defined here so they inline into its loop.
+ * The trace generator reads its draws in blocks (fill()) and decodes
+ * them with the rules of uniform53Threshold() and Bound, so the
+ * per-draw rules are defined here, once.
  */
 
 #ifndef MCDVFS_COMMON_RNG_HH
 #define MCDVFS_COMMON_RNG_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace mcdvfs
@@ -35,9 +36,16 @@ class Rng
         /** @param bound exclusive upper end of the range, > 0 */
         explicit Bound(std::uint64_t bound);
 
-      private:
-        friend class Rng;
+        /**
+         * True when uniformInt() keeps raw draw @c r; it rejects the
+         * draw and draws again otherwise.
+         */
+        bool accepts(std::uint64_t r) const { return r >= threshold_; }
 
+        /** The value uniformInt() returns for an accepted draw @c r. */
+        std::uint64_t value(std::uint64_t r) const { return r % bound_; }
+
+      private:
         std::uint64_t bound_;
         /** Draws below this are rejected: (2^64 - bound) % bound. */
         std::uint64_t threshold_;
@@ -62,6 +70,14 @@ class Rng
 
         return result;
     }
+
+    /**
+     * Write the next @c n raw draws to @c out: the same sequence as
+     * @c n next() calls, with the state held in locals for the whole
+     * loop (a store through @c out could otherwise alias it, forcing a
+     * reload after every draw).
+     */
+    void fill(std::uint64_t *out, std::size_t n);
 
     /**
      * The 53 high bits of one draw: uniform() is exactly
@@ -97,8 +113,8 @@ class Rng
         // Rejection sampling to avoid modulo bias.
         for (;;) {
             const std::uint64_t r = next();
-            if (r >= bound.threshold_)
-                return r % bound.bound_;
+            if (bound.accepts(r))
+                return bound.value(r);
         }
     }
 

@@ -35,6 +35,7 @@ struct DaemonMetrics
     obs::Histogram requestNs;
     obs::Counter batcherCpuNs;
     obs::Counter batcherWakes;
+    obs::Counter buildCpuNs;
 
     DaemonMetrics()
     {
@@ -50,6 +51,7 @@ struct DaemonMetrics
         requestNs = reg.histogram("daemon.request_ns", latency);
         batcherCpuNs = reg.counter("daemon.batcher_cpu_ns");
         batcherWakes = reg.counter("daemon.batcher_wakes");
+        buildCpuNs = reg.counter("daemon.build_cpu_ns");
     }
 };
 
@@ -86,6 +88,25 @@ threadCpuNs()
     return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
            static_cast<std::uint64_t>(ts.tv_nsec);
 }
+
+/**
+ * Adds the calling thread's CPU time from construction to destruction
+ * to daemon.build_cpu_ns: a build task's, whichever way it ends.
+ */
+class BuildCpuScope
+{
+  public:
+    BuildCpuScope() = default;
+    BuildCpuScope(const BuildCpuScope &) = delete;
+    BuildCpuScope &operator=(const BuildCpuScope &) = delete;
+    ~BuildCpuScope()
+    {
+        daemonMetrics().buildCpuNs.add(threadCpuNs() - start_);
+    }
+
+  private:
+    std::uint64_t start_ = threadCpuNs();
+};
 
 } // namespace
 
@@ -403,6 +424,7 @@ TuningDaemon::buildStage(const svc::GridKey &key, const Pending &lead,
 void
 TuningDaemon::runBuild(const svc::GridKey &key, std::uint64_t grid_ns)
 {
+    const BuildCpuScope cpu;
     std::vector<Pending> members = takeBuildMembers(key, false);
     obs::TraceSpan group_span("daemon.run_group", members.size());
     const std::uint64_t digest = key.combined();

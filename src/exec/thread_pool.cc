@@ -25,6 +25,7 @@ struct PoolMetrics
     obs::Counter stealAttempts;
     obs::Counter stealHits;
     obs::Counter stealChunks;
+    obs::Counter wakes;
     obs::Histogram queueWaitNs;
     obs::Histogram taskRunNs;
     obs::Gauge workers;
@@ -41,6 +42,7 @@ struct PoolMetrics
         stealAttempts = reg.counter("exec.steal.attempts");
         stealHits = reg.counter("exec.steal.hits");
         stealChunks = reg.counter("exec.steal.chunks_stolen");
+        wakes = reg.counter("exec.pool.wakes");
         queueWaitNs = reg.histogram("exec.pool.queue_wait_ns", latency);
         taskRunNs = reg.histogram("exec.pool.task_run_ns", latency);
         workers = reg.gauge("exec.pool.workers");
@@ -312,10 +314,15 @@ ThreadPool::workerLoop()
         QueuedTask task;
         {
             std::unique_lock<std::mutex> lock(mutex_);
+            // A wake: this worker found nothing to run, waited, and
+            // leaves the wait with a task.
+            const bool idle = !stop_ && queue_.empty();
             available_.wait(lock,
                             [this] { return stop_ || !queue_.empty(); });
             if (queue_.empty())
                 return;  // stop_ set and the queue drained
+            if (idle)
+                poolMetrics().wakes.add(1);
             task = std::move(queue_.front());
             queue_.pop_front();
             ++activeTasks_;

@@ -4,6 +4,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "obs/metrics.hh"
 #include "sim/profile_cache.hh"
 #include "trace/trace_generator.hh"
 
@@ -12,6 +13,31 @@ namespace mcdvfs
 
 namespace
 {
+
+/**
+ * Process-wide characterization work counters, added once per run of
+ * the simulator loop (a sample or a warm-up chunk), beside
+ * sim.grid.characterize_ns.
+ */
+struct SimMetrics
+{
+    obs::Counter instructions;
+    obs::Counter memoryRefs;
+
+    SimMetrics()
+    {
+        obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+        instructions = reg.counter("sim.characterize.instructions");
+        memoryRefs = reg.counter("sim.characterize.memory_refs");
+    }
+};
+
+SimMetrics &
+simMetrics()
+{
+    static SimMetrics metrics;
+    return metrics;
+}
 
 std::uint64_t
 addCacheConfig(std::uint64_t h, const CacheConfig &cache)
@@ -48,40 +74,47 @@ SampleSimulator::SampleSimulator(const SampleSimulatorConfig &config)
 {
     if (config_.simInstructionsPerSample == 0)
         fatal("sample simulator: simInstructionsPerSample must be > 0");
+    refs_.reserve(kChunkInstructions);
 }
 
-template <class Source>
-SampleProfile
-SampleSimulator::profileFromSource(Source &gen, Count instructions,
-                                   const PhaseSpec &spec)
+SampleSimulator::RunCounts
+SampleSimulator::simulate(TraceSource &source, Count instructions)
 {
     hierarchy_.clearStats();
     dram_.clearStats();
 
-    Count dram_reads = 0;
-    Count dram_writes = 0;
-    Count dram_prefetch = 0;
-    Count gpu_kicks = 0;
-    for (Count i = 0; i < instructions; ++i) {
-        const InstrRecord instr = gen.next();
-        if (!isMemory(instr.kind)) {
-            gpu_kicks += instr.kind == InstrKind::GpuKick;
-            continue;
+    RunCounts counts;
+    Count memory_refs = 0;
+    for (Count done = 0; done < instructions;) {
+        const Count chunk = std::min(kChunkInstructions, instructions - done);
+        counts.gpuKicks += source.nextMemoryRefs(chunk, refs_);
+        memory_refs += refs_.size();
+        for (const MemoryRef &ref : refs_) {
+            const HierarchyOutcome outcome =
+                hierarchy_.access(ref.addr, ref.isWrite);
+            for (std::uint8_t d = 0; d < outcome.dramCount; ++d) {
+                const DramRequest &req = outcome.dram[d];
+                dram_.access(req.addr, req.isWrite);
+                if (req.isWrite)
+                    ++counts.dramWrites;
+                else if (req.isPrefetch)
+                    ++counts.dramPrefetch;
+                else
+                    ++counts.dramReads;
+            }
         }
-        const bool is_write = instr.kind == InstrKind::Store;
-        const HierarchyOutcome outcome =
-            hierarchy_.access(instr.addr, is_write);
-        for (std::uint8_t d = 0; d < outcome.dramCount; ++d) {
-            const DramRequest &req = outcome.dram[d];
-            dram_.access(req.addr, req.isWrite);
-            if (req.isWrite)
-                ++dram_writes;
-            else if (req.isPrefetch)
-                ++dram_prefetch;
-            else
-                ++dram_reads;
-        }
+        done += chunk;
     }
+    simMetrics().instructions.add(instructions);
+    simMetrics().memoryRefs.add(memory_refs);
+    return counts;
+}
+
+SampleProfile
+SampleSimulator::profileFromSource(TraceSource &source, Count instructions,
+                                   const PhaseSpec &spec)
+{
+    const RunCounts counts = simulate(source, instructions);
 
     const auto &l1 = hierarchy_.l1().stats();
     const auto &dram_stats = dram_.stats();
@@ -94,14 +127,15 @@ SampleSimulator::profileFromSource(Source &gen, Count instructions,
     profile.mlp = spec.mlp;
     profile.l1Mpki = 1000.0 * static_cast<double>(l1.misses()) / n;
     // L2 demand misses are the reads L2 forwarded to DRAM.
-    profile.l2Mpki = 1000.0 * static_cast<double>(dram_reads) / n;
+    profile.l2Mpki = 1000.0 * static_cast<double>(counts.dramReads) / n;
     profile.l2PerInstr = static_cast<double>(l1.misses()) / n;
-    profile.dramReadsPerInstr = static_cast<double>(dram_reads) / n;
-    profile.dramWritesPerInstr = static_cast<double>(dram_writes) / n;
+    profile.dramReadsPerInstr = static_cast<double>(counts.dramReads) / n;
+    profile.dramWritesPerInstr =
+        static_cast<double>(counts.dramWrites) / n;
     profile.dramPrefetchPerInstr =
-        static_cast<double>(dram_prefetch) / n;
+        static_cast<double>(counts.dramPrefetch) / n;
     profile.gpuWorkPerInstr =
-        (static_cast<double>(gpu_kicks) / n) * spec.gpuCyclesPerKick;
+        (static_cast<double>(counts.gpuKicks) / n) * spec.gpuCyclesPerKick;
     profile.gpuActivity = spec.gpuActivity;
 
     const Count dram_total = dram_stats.accesses();
@@ -125,6 +159,14 @@ SampleSimulator::runSample(const PhaseSpec &spec, std::uint64_t seed,
     return profileFromSource(gen, instructions, spec);
 }
 
+void
+SampleSimulator::warm(const PhaseSpec &spec, std::uint64_t seed,
+                      Count instructions)
+{
+    TraceGenerator gen(spec, seed);
+    simulate(gen, instructions);
+}
+
 SampleProfile
 SampleSimulator::characterizeCanonical(const PhaseSpec &spec,
                                        std::uint64_t seed,
@@ -139,9 +181,8 @@ SampleSimulator::characterizeCanonical(const PhaseSpec &spec,
     std::size_t w = 0;
     while (remaining > 0) {
         const Count chunk = std::min(remaining, instructions);
-        runSample(spec,
-                  seed ^ (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
-                  chunk);
+        warm(spec, seed ^ (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
+             chunk);
         remaining -= chunk;
         ++w;
     }
@@ -197,10 +238,10 @@ SampleSimulator::characterizeSequential(const WorkloadProfile &workload)
         // Each warmup chunk gets a fresh stream seed: replaying the
         // same few streams would re-touch the same addresses and
         // leave large working sets cold.
-        runSample(workload.phaseFor(w % warm_span),
-                  workload.traceSeedFor(w % warm_span) ^
-                      (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
-                  chunk);
+        warm(workload.phaseFor(w % warm_span),
+             workload.traceSeedFor(w % warm_span) ^
+                 (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
+             chunk);
         remaining -= chunk;
         ++w;
     }

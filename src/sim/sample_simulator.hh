@@ -9,6 +9,12 @@
  * frequency-independent rates in a SampleProfile.  Cache and DRAM bank
  * state persist across samples (warm), only the counters reset, as in
  * the paper's continuous gem5 runs.
+ *
+ * One loop (simulate()) serves every source, warm-ups included: it
+ * takes a chunk's memory references and GPU-kick count from
+ * TraceSource::nextMemoryRefs(), then runs the hierarchy and the banks
+ * over the chunk.  The generator skips non-memory instructions without
+ * decoding them, and a recorded trace replays through next().
  */
 
 #ifndef MCDVFS_SIM_SAMPLE_SIMULATOR_HH
@@ -81,6 +87,14 @@ class SampleSimulator
         std::uint64_t cacheMisses = 0;
     };
 
+    /**
+     * Instructions the simulator loop asks its source for at a time;
+     * a chunk's memory references (at most 32 KiB) stay in the host's
+     * caches between the source writing them and the hierarchy
+     * reading them.
+     */
+    static constexpr Count kChunkInstructions = 2048;
+
     /** @throws FatalError on invalid configuration. */
     explicit SampleSimulator(const SampleSimulatorConfig &config = {});
 
@@ -142,14 +156,30 @@ class SampleSimulator
     std::vector<SampleProfile> characterizeSequential(
         const WorkloadProfile &workload);
 
+    /** What one run of the simulator loop counted. */
+    struct RunCounts
+    {
+        Count dramReads = 0;
+        Count dramWrites = 0;
+        Count dramPrefetch = 0;
+        Count gpuKicks = 0;
+    };
+
     /**
-     * Push @c instructions from @c source through the hierarchy.  The
-     * one characterization loop: TraceGenerator instantiates it with
-     * next() inlined, recorded traces through the TraceSource base.
+     * The one simulator loop: clear the counters, then push the next
+     * @c instructions of @c source through the hierarchy and the DRAM
+     * banks, kChunkInstructions at a time.
      */
-    template <class Source>
-    SampleProfile profileFromSource(Source &source, Count instructions,
+    RunCounts simulate(TraceSource &source, Count instructions);
+
+    /** simulate(), then the rates it measured as a SampleProfile. */
+    SampleProfile profileFromSource(TraceSource &source,
+                                    Count instructions,
                                     const PhaseSpec &meta);
+
+    /** Run @c instructions of @c spec unrecorded, to warm the state. */
+    void warm(const PhaseSpec &spec, std::uint64_t seed,
+              Count instructions);
 
     SampleSimulatorConfig config_;
     CacheHierarchy hierarchy_;
@@ -159,6 +189,8 @@ class SampleSimulator
     /** Precomputed config().profileFingerprint(). */
     std::uint64_t configKey_ = 0;
     CharacterizeStats lastStats_;
+    /** One chunk's memory references, reused by every run. */
+    std::vector<MemoryRef> refs_;
 };
 
 } // namespace mcdvfs

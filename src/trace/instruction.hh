@@ -31,6 +31,13 @@ struct InstrRecord
     std::uint64_t addr = 0;
 };
 
+/** A load's or a store's address: what the cache hierarchy consumes. */
+struct MemoryRef
+{
+    std::uint64_t addr = 0;
+    bool isWrite = false;
+};
+
 /** True for loads and stores. */
 constexpr bool
 isMemory(InstrKind kind)

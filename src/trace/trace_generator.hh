@@ -14,16 +14,30 @@
  * L2, and a cold set exceeding L2.  Cold references are a mix of a
  * sequential stream (row-buffer friendly) and uniform-random accesses.
  *
- * next() runs once per simulated instruction, so it is defined here to
- * inline into the characterization loop, and everything it derives
- * from the spec (cumulative mix edges, tier word counts and their
- * rejection thresholds) is computed once, in the constructor.
+ * An instruction is decoded from consecutive raw draws.  The first
+ * picks the kind: a draw whose 53 high bits fall below the memory edge
+ * is a load or store, any other is one non-memory instruction.  A
+ * memory instruction then takes its tier draw, the cold-sequential
+ * choice (cold tier, 0 < coldSeqFrac < 1 only) and its word draw,
+ * which Rng::Bound may reject and draw again.  The generator reads
+ * those draws from a block of kBlock filled by Rng::fill(), with one
+ * bit per draw set when the draw, read as a kind, is a memory
+ * reference.  nextMemoryRefs() finds the next memory instruction
+ * with countr_zero on those bits, so the non-memory instructions
+ * between two references cost no branch each, and reads a
+ * reference's draws at fixed offsets.  A reference whose word draw is
+ * rejected, or whose draws may run past the block, is decoded one
+ * buffered draw at a time by the decoder next() uses, so both calls
+ * consume one stream and may be interleaved.  Everything derived from
+ * the spec (cumulative mix edges, tier word counts and their rejection
+ * thresholds) is computed once, in the constructor.
  */
 
 #ifndef MCDVFS_TRACE_TRACE_GENERATOR_HH
 #define MCDVFS_TRACE_TRACE_GENERATOR_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,30 +69,17 @@ class TraceGenerator final : public TraceSource
     TraceGenerator(const PhaseSpec &spec, std::uint64_t seed);
 
     /** Produce the next dynamic instruction. */
-    InstrRecord
-    next() override
-    {
-        // One uniform draw picks the kind: the first cumulative mix
-        // edge (loads, stores, branches, fp, mul, GPU kicks) above it.
-        const std::uint64_t k = rng_.uniform53();
-        if (k < memEdge_) {
-            return {k < loadEdge_ ? InstrKind::Load : InstrKind::Store,
-                    nextAddress()};
-        }
-        // The edges are non-decreasing, so the number at or below k
-        // indexes the kind whose edge is the first above it.
-        const unsigned op = (k >= opEdges_[0]) + (k >= opEdges_[1]) +
-                            (k >= opEdges_[2]) + (k >= opEdges_[3]);
-        return {kOpKinds[op], 0};
-    }
+    InstrRecord next() override;
 
-    /** Append @c n instructions to @c out. */
-    void generate(Count n, std::vector<InstrRecord> &out);
+    Count nextMemoryRefs(Count n, std::vector<MemoryRef> &refs) override;
 
     /** The phase being generated. */
     const PhaseSpec &spec() const { return spec_; }
 
   private:
+    /** Raw draws buffered per Rng::fill() (a multiple of 64). */
+    static constexpr std::size_t kBlock = 512;
+
     /** Non-memory kinds in mix order; IntAlu takes the remainder. */
     static constexpr InstrKind kOpKinds[] = {
         InstrKind::Branch, InstrKind::FpOp, InstrKind::IntMul,
@@ -91,25 +92,26 @@ class TraceGenerator final : public TraceSource
         Rng::Bound words;
     };
 
+    /** The next buffered draw, refilling the block when it is spent. */
     std::uint64_t
-    nextAddress()
+    draw()
     {
-        const std::uint64_t tier = rng_.uniform53();
-        if (tier < warmEdge_) {
-            const Tier &t = tiers_[tier >= hotEdge_];
-            return t.base + rng_.uniformInt(t.words) * PhaseSpec::kAccessBytes;
-        }
-        // Cold tier: sequential stream or uniform random.
-        if (rng_.chance(spec_.coldSeqFrac)) {
-            const std::uint64_t addr = kColdBase + coldCursor_;
-            coldCursor_ += PhaseSpec::kAccessBytes;
-            if (coldCursor_ >= spec_.coldBytes)
-                coldCursor_ = 0;
-            return addr;
-        }
-        return kColdBase +
-               rng_.uniformInt(coldWords_) * PhaseSpec::kAccessBytes;
+        if (pos_ == kBlock)
+            refill();
+        return block_[pos_++];
     }
+
+    /** Fill the block with kBlock draws and rebuild its memory bits. */
+    void refill();
+
+    /**
+     * The address of the memory instruction whose kind draw was the
+     * last one taken, from its remaining draws taken one at a time.
+     */
+    std::uint64_t decodeAddress();
+
+    /** The sequential cold stream's next address. */
+    std::uint64_t nextColdSequential();
 
     PhaseSpec spec_;
     Rng rng_;
@@ -120,10 +122,22 @@ class TraceGenerator final : public TraceSource
     std::array<std::uint64_t, 4> opEdges_;  ///< branch, fp, mul, GPU
     std::uint64_t hotEdge_;
     std::uint64_t warmEdge_;
+    /**
+     * A cold reference is sequential when its choice draw's 53 high
+     * bits fall below this.  coldSeqFrac 0 and 1 take no choice draw,
+     * as in Rng::chance(), and read 0 against thresholds 0 and 2^53.
+     */
+    std::uint64_t coldSeqEdge_;
     ///@}
-    std::array<Tier, 2> tiers_;  ///< hot, warm
-    Rng::Bound coldWords_;
+    bool coldChoiceDraws_;  ///< 0 < coldSeqFrac < 1
+    std::array<Tier, 3> tiers_;  ///< hot, warm, cold (random accesses)
     std::uint64_t coldCursor_ = 0;  ///< sequential cold-stream offset
+
+    /** Buffered raw draws; block_[pos_] is the next one. */
+    std::array<std::uint64_t, kBlock> block_{};
+    /** Bit i of word w: draw 64w + i, read as a kind, is a load or store. */
+    std::array<std::uint64_t, kBlock / 64> memoryBits_{};
+    std::size_t pos_ = kBlock;
 };
 
 } // namespace mcdvfs

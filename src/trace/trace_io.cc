@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -36,7 +37,7 @@ kindLetter(InstrKind kind)
 }
 
 InstrKind
-kindFromLetter(char letter)
+kindFromLetter(char letter, std::size_t number)
 {
     switch (letter) {
       case 'A':
@@ -54,8 +55,41 @@ kindFromLetter(char letter)
       case 'G':
         return InstrKind::GpuKick;
       default:
-        fatal("trace io: unknown instruction kind '", letter, "'");
+        fatal("trace io: line ", number, ": unknown instruction kind '",
+              letter, "'");
     }
+}
+
+/**
+ * The instruction on line @c number of a recorded trace: one kind
+ * letter, and for a load or store one space and a hexadecimal address
+ * that fills the rest of the line and fits 64 bits.
+ */
+InstrRecord
+parseLine(const std::string &line, std::size_t number)
+{
+    InstrRecord rec;
+    rec.kind = kindFromLetter(line[0], number);
+    if (!isMemory(rec.kind)) {
+        if (line.size() != 1) {
+            fatal("trace io: line ", number, ": '", line[0],
+                  "' takes no operand");
+        }
+        return rec;
+    }
+    const char *last = line.data() + line.size();
+    std::from_chars_result parsed{last, std::errc::invalid_argument};
+    if (line.size() > 2 && line[1] == ' ')
+        parsed = std::from_chars(line.data() + 2, last, rec.addr, 16);
+    if (parsed.ec == std::errc::result_out_of_range) {
+        fatal("trace io: line ", number,
+              ": address does not fit 64 bits");
+    }
+    if (parsed.ec != std::errc{} || parsed.ptr != last) {
+        fatal("trace io: line ", number, ": '", line[0],
+              "' needs one space and a hexadecimal address");
+    }
+    return rec;
 }
 
 } // namespace
@@ -83,18 +117,9 @@ TraceReplay::TraceReplay(std::istream &is)
     : TraceReplay([&is] {
           std::vector<InstrRecord> records;
           std::string line;
-          while (std::getline(is, line)) {
-              if (line.empty())
-                  continue;
-              InstrRecord rec;
-              rec.kind = kindFromLetter(line[0]);
-              if (isMemory(rec.kind)) {
-                  if (line.size() < 3)
-                      fatal("trace io: memory op without address");
-                  rec.addr =
-                      std::stoull(line.substr(2), nullptr, 16);
-              }
-              records.push_back(rec);
+          for (std::size_t number = 1; std::getline(is, line); ++number) {
+              if (!line.empty())
+                  records.push_back(parseLine(line, number));
           }
           return records;
       }())

@@ -3,14 +3,18 @@
  * Recording and replaying instruction traces.
  *
  * Format: one instruction per line.  Non-memory kinds are a single
- * letter; memory kinds carry a hexadecimal address:
+ * letter; memory kinds carry one space and a hexadecimal address of at
+ * most 64 bits, with no sign, prefix or trailing text:
  *
  *   A            integer ALU
  *   M            integer multiply
  *   F            floating-point op
  *   B            branch
+ *   G            GPU kick
  *   L <hexaddr>  load
  *   S <hexaddr>  store
+ *
+ * Empty lines are skipped.
  */
 
 #ifndef MCDVFS_TRACE_TRACE_IO_HH
@@ -35,7 +39,8 @@ class TraceReplay : public TraceSource
   public:
     /**
      * Parse a recorded trace.
-     * @throws FatalError on malformed input or an empty trace.
+     * @throws FatalError naming the line on malformed input, or on an
+     *         empty trace.
      */
     explicit TraceReplay(std::istream &is);
 

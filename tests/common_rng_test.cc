@@ -23,6 +23,21 @@ TEST(Rng, SameSeedSameSequence)
         ASSERT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, FillMatchesNext)
+{
+    Rng filled(99);
+    Rng stepped(99);
+    std::vector<std::uint64_t> block;
+    for (const std::size_t n : {0, 1, 7, 512, 1000}) {
+        block.assign(n, 0);
+        filled.fill(block.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(block[i], stepped.next()) << n << " draws, draw " << i;
+        // The state written back continues the same sequence.
+        ASSERT_EQ(filled.next(), stepped.next()) << n << " draws";
+    }
+}
+
 TEST(Rng, DifferentSeedsDiffer)
 {
     Rng a(1);

@@ -73,6 +73,7 @@ TEST(ObsInstrumentation, ThreadPoolSubmitAndWorkerGauges)
     const std::uint64_t waits0 = histogramCount("exec.pool.queue_wait_ns");
     const std::uint64_t runs0 = histogramCount("exec.pool.task_run_ns");
     const std::int64_t workers0 = gaugeValue("exec.pool.workers");
+    const std::uint64_t wakes0 = counterValue("exec.pool.wakes");
 
     {
         exec::ThreadPool pool(2);
@@ -90,6 +91,9 @@ TEST(ObsInstrumentation, ThreadPoolSubmitAndWorkerGauges)
     EXPECT_EQ(histogramCount("exec.pool.task_run_ns"), runs0 + 4);
     EXPECT_EQ(gaugeValue("exec.pool.workers"), workers0);
     EXPECT_EQ(gaugeValue("exec.pool.active_workers"), 0);
+    // Each wake hands a waiting worker one task; how many of the four
+    // found a worker waiting depends on timing.
+    EXPECT_LE(counterValue("exec.pool.wakes"), wakes0 + 4);
 }
 
 TEST(ObsInstrumentation, ThreadPoolInlineSubmitCounts)
@@ -99,12 +103,15 @@ TEST(ObsInstrumentation, ThreadPoolInlineSubmitCounts)
         counterValue("exec.pool.tasks_submitted");
     const std::uint64_t executed0 =
         counterValue("exec.pool.tasks_executed");
+    const std::uint64_t wakes0 = counterValue("exec.pool.wakes");
 
     exec::ThreadPool pool(0);
     EXPECT_EQ(pool.submit([] { return 9; }).get(), 9);
 
     EXPECT_EQ(counterValue("exec.pool.tasks_submitted"), submitted0 + 1);
     EXPECT_EQ(counterValue("exec.pool.tasks_executed"), executed0 + 1);
+    // No worker ran it, so no worker woke.
+    EXPECT_EQ(counterValue("exec.pool.wakes"), wakes0);
 }
 
 TEST(ObsInstrumentation, ThreadPoolParallelForLoopAndChunkCounts)
@@ -412,6 +419,11 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
         histogramCount("daemon.snapshot.store_ns");
     const std::uint64_t loadNs0 =
         histogramCount("daemon.snapshot.load_ns");
+    const std::uint64_t buildCpu0 = counterValue("daemon.build_cpu_ns");
+    const std::uint64_t instructions0 =
+        counterValue("sim.characterize.instructions");
+    const std::uint64_t memoryRefs0 =
+        counterValue("sim.characterize.memory_refs");
 
     const std::string dir = "obs_daemon_store";
     std::filesystem::remove_all(dir);
@@ -458,15 +470,32 @@ TEST(ObsInstrumentation, DaemonPipelineAndSnapshotCounters)
     EXPECT_EQ(counterValue("daemon.snapshot.analysis_stores"),
               analysisStores0 + 1);
     EXPECT_EQ(histogramCount("daemon.snapshot.store_ns"), storeNs0 + 2);
+    // The cold request built its grid in a pool task, which
+    // characterized its samples.
+    const std::uint64_t buildCpu1 = counterValue("daemon.build_cpu_ns");
+    const std::uint64_t instructions1 =
+        counterValue("sim.characterize.instructions");
+    const std::uint64_t memoryRefs1 =
+        counterValue("sim.characterize.memory_refs");
+    EXPECT_GT(buildCpu1, buildCpu0);
+    EXPECT_GT(instructions1, instructions0);
+    EXPECT_GT(memoryRefs1, memoryRefs0);
+    EXPECT_LT(memoryRefs1 - memoryRefs0, instructions1 - instructions0);
 
-    // A warm restart over the same store loads both snapshots back.
+    // A warm restart over the same store loads both snapshots back,
+    // and serves the request with no build and no characterization.
     {
         daemon::TuningDaemon restarted(test::fastSystemConfig(),
                                        options);
         const daemon::DaemonStats stats = restarted.stats();
         EXPECT_EQ(stats.warmGrids, 1u);
         EXPECT_EQ(stats.warmAnalyses, 1u);
+        EXPECT_TRUE(restarted.submit(request).get().ok());
     }
+    EXPECT_EQ(counterValue("daemon.build_cpu_ns"), buildCpu1);
+    EXPECT_EQ(counterValue("sim.characterize.instructions"),
+              instructions1);
+    EXPECT_EQ(counterValue("sim.characterize.memory_refs"), memoryRefs1);
     EXPECT_EQ(counterValue("daemon.snapshot.grid_loads"),
               gridLoads0 + 1);
     EXPECT_EQ(counterValue("daemon.snapshot.analysis_loads"),

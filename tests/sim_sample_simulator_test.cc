@@ -343,7 +343,9 @@ traceDigest(const PhaseSpec &spec, std::uint64_t seed)
     return hash.digest();
 }
 
-TEST(TraceGenerator, StreamsMatchTheGolden)
+/** The hot, warm, cold-sequential and GPU specs the stream golden pins. */
+std::vector<PhaseSpec>
+goldenStreamSpecs()
 {
     PhaseSpec hot;  // all references in a 24 KiB set
     hot.name = "hot";
@@ -373,10 +375,134 @@ TEST(TraceGenerator, StreamsMatchTheGolden)
     gpu.warmFrac = 0.2;
     gpu.coldSeqFrac = 0.0;
 
-    EXPECT_EQ(hex(traceDigest(hot, 11)), hex(0x4c4adb989c6514b3ull));
-    EXPECT_EQ(hex(traceDigest(warm, 12)), hex(0xc355a09dcd48efb1ull));
-    EXPECT_EQ(hex(traceDigest(cold, 13)), hex(0x3f416e343f1d40d6ull));
-    EXPECT_EQ(hex(traceDigest(gpu, 14)), hex(0x6f69e4cf461ec116ull));
+    return {hot, warm, cold, gpu};
+}
+
+TEST(TraceGenerator, StreamsMatchTheGolden)
+{
+    const std::vector<PhaseSpec> specs = goldenStreamSpecs();
+    EXPECT_EQ(hex(traceDigest(specs[0], 11)), hex(0x4c4adb989c6514b3ull));
+    EXPECT_EQ(hex(traceDigest(specs[1], 12)), hex(0xc355a09dcd48efb1ull));
+    EXPECT_EQ(hex(traceDigest(specs[2], 13)), hex(0x3f416e343f1d40d6ull));
+    EXPECT_EQ(hex(traceDigest(specs[3], 14)), hex(0x6f69e4cf461ec116ull));
+}
+
+/** Lengths that start, fill and cross the generator's 512-draw blocks. */
+constexpr Count kBlockCallLengths[] = {0,   1,   63,     64,
+                                       65,  513, 20'000, 60'000};
+
+/**
+ * Advance @c block by nextMemoryRefs(@c n) and @c single by @c n next()
+ * calls (TraceSource's own nextMemoryRefs()), and expect the same
+ * references and GPU kicks.
+ */
+void
+expectSameChunk(TraceGenerator &block, TraceGenerator &single, Count n)
+{
+    std::vector<MemoryRef> got;
+    std::vector<MemoryRef> want;
+    const Count kicks = block.nextMemoryRefs(n, got);
+    EXPECT_EQ(kicks, single.TraceSource::nextMemoryRefs(n, want))
+        << n << " instructions";
+    ASSERT_EQ(got.size(), want.size()) << n << " instructions";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].addr, want[i].addr) << "reference " << i;
+        ASSERT_EQ(got[i].isWrite, want[i].isWrite) << "reference " << i;
+    }
+}
+
+/** expectSameChunk() on a fresh pair, then the pair's next instruction. */
+void
+expectBlockCallMatchesNext(const PhaseSpec &spec, std::uint64_t seed,
+                           Count n)
+{
+    SCOPED_TRACE(spec.name + " length " + std::to_string(n));
+    TraceGenerator block(spec, seed);
+    TraceGenerator single(spec, seed);
+    expectSameChunk(block, single, n);
+    const InstrRecord a = block.next();
+    const InstrRecord b = single.next();
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.addr, b.addr);
+}
+
+TEST(TraceGenerator, MemoryRefsMatchNext)
+{
+    // Every sample's phase of every workload, GPU phases included, at a
+    // length that rotates through kBlockCallLengths.
+    std::size_t rotation = 0;
+    for (const WorkloadProfile &workload : extendedWorkloads()) {
+        for (std::size_t s = 0; s < workload.sampleCount(); ++s) {
+            const Count n =
+                kBlockCallLengths[rotation++ % std::size(kBlockCallLengths)];
+            expectBlockCallMatchesNext(workload.phaseFor(s),
+                                       workload.traceSeedFor(s), n);
+        }
+    }
+
+    std::vector<PhaseSpec> specs = goldenStreamSpecs();
+    PhaseSpec no_memory;
+    no_memory.name = "no-memory";
+    no_memory.loadFrac = 0.0;
+    no_memory.storeFrac = 0.0;
+    no_memory.gpuKickFrac = 0.1;
+    specs.push_back(no_memory);
+    PhaseSpec all_memory;
+    all_memory.name = "all-memory";
+    all_memory.loadFrac = 0.7;
+    all_memory.storeFrac = 0.3;
+    all_memory.branchFrac = 0.0;
+    all_memory.mulFrac = 0.0;
+    all_memory.hotFrac = 0.4;
+    all_memory.warmFrac = 0.3;
+    specs.push_back(all_memory);
+    for (const double seq : {0.0, 1.0}) {
+        PhaseSpec cold = all_memory;
+        cold.name = seq == 0.0 ? "cold-random" : "cold-sequential";
+        cold.loadFrac = 0.2;
+        cold.storeFrac = 0.1;
+        cold.coldSeqFrac = seq;
+        specs.push_back(cold);
+    }
+    PhaseSpec all_hot;
+    all_hot.name = "all-hot";
+    all_hot.hotFrac = 1.0;
+    all_hot.warmFrac = 0.0;
+    specs.push_back(all_hot);
+    // 8 * (floor(2^64 / 9) + 1) bytes: the word bound's rejection
+    // threshold turns down one cold word draw in nine.
+    PhaseSpec rejecting;
+    rejecting.name = "rejecting";
+    rejecting.hotFrac = 0.1;
+    rejecting.warmFrac = 0.1;
+    rejecting.coldSeqFrac = 0.3;
+    rejecting.gpuKickFrac = 0.05;
+    rejecting.coldBytes = 16'397'105'843'297'379'216ull;
+    specs.push_back(rejecting);
+
+    std::uint64_t seed = 31;
+    for (const PhaseSpec &spec : specs) {
+        for (const Count n : kBlockCallLengths)
+            expectBlockCallMatchesNext(spec, seed, n);
+        ++seed;
+    }
+
+    // One generator advanced by next() and block calls in turn, at
+    // every length, against one advanced by next() alone.
+    for (const PhaseSpec &spec : specs) {
+        SCOPED_TRACE(spec.name + " interleaved");
+        TraceGenerator block(spec, 7);
+        TraceGenerator single(spec, 7);
+        for (const Count n : kBlockCallLengths) {
+            expectSameChunk(block, single, n);
+            for (int i = 0; i < 3; ++i) {
+                const InstrRecord a = block.next();
+                const InstrRecord b = single.next();
+                ASSERT_EQ(a.kind, b.kind);
+                ASSERT_EQ(a.addr, b.addr);
+            }
+        }
+    }
 }
 
 TEST(Rng, DrawsMatchTheGolden)

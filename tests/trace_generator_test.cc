@@ -175,16 +175,6 @@ TEST(TraceGenerator, SequentialColdStreamAdvancesAndWraps)
     EXPECT_GT(wraps, 0);
 }
 
-TEST(TraceGenerator, GenerateAppends)
-{
-    TraceGenerator gen(testSpec(), 23);
-    std::vector<InstrRecord> out;
-    gen.generate(100, out);
-    EXPECT_EQ(out.size(), 100u);
-    gen.generate(50, out);
-    EXPECT_EQ(out.size(), 150u);
-}
-
 TEST(TraceGenerator, InvalidSpecThrows)
 {
     PhaseSpec spec = testSpec();

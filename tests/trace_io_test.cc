@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/logging.hh"
 #include "sim/sample_simulator.hh"
@@ -79,8 +80,25 @@ TEST(TraceIo, AllKindsRoundTrip)
 TEST(TraceIo, RejectsMalformedInput)
 {
     EXPECT_THROW(TraceReplay::fromString(""), FatalError);
-    EXPECT_THROW(TraceReplay::fromString("X\n"), FatalError);
-    EXPECT_THROW(TraceReplay::fromString("L\n"), FatalError);
+    // A memory line is a letter, one space and hex digits that fill the
+    // line and fit 64 bits; any other line is one letter.  Each error
+    // names its line.
+    for (const char *line :
+         {"X", "L", "L zz", "L 1ffffffffffffffff0", "L -1", "L 12zz",
+          "Lx12", "S  +7", "L 0x12", "L ", "A junk"}) {
+        try {
+            TraceReplay::fromString(std::string("A\n\nL 1f\n") + line +
+                                    "\n");
+            ADD_FAILURE() << "accepted '" << line << "'";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("line 4"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const TraceReplay widest =
+        TraceReplay::fromString("S ffffffffffffffff\nL 0\n");
+    EXPECT_EQ(widest.size(), 2u);
 }
 
 TEST(TraceIo, ReplayDrivesCharacterization)
