@@ -4,9 +4,10 @@
  * vs parallel grid construction throughput (the dominant cost of every
  * figure), the latency of a cache-hit tuning request vs a cold one,
  * the set-up cost of building the workload profile a request carries,
- * and the snapshot store's warm load and grid write
- * (--benchmark_filter=Store; the binary exits 1 if any of their loads
- * or writes fails).
+ * and the snapshot store's warm load (serial and pooled), grid write
+ * and daemon restart over a store at and over its grid cache's
+ * capacity (--benchmark_filter=Store; the binary exits 1 if any of
+ * their loads or writes fails).
  *
  * The parallel build fans the per-setting model evaluation over a
  * thread pool (bit-identical results; see sim/grid_runner.hh), so the
@@ -19,8 +20,10 @@
 #include <filesystem>
 
 #include "bench_json.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "daemon/snapshot_store.hh"
+#include "daemon/tuning_daemon.hh"
 #include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "svc/characterization_service.hh"
@@ -200,7 +203,9 @@ BM_StoreWarmLoad(benchmark::State &state)
 {
     // Twelve fine() grids of 50-200 samples with profiles: the shape of
     // perfbench's primed store, which a restarting daemon loads before
-    // it serves.
+    // it serves.  The argument is the pool's worker count: 0 times the
+    // serial loadAllGrids(), 2 the pooled load a daemon with perfbench's
+    // two workers makes.
     const std::string dir = "micro_store_warm_load";
     std::filesystem::remove_all(dir);
     {
@@ -210,8 +215,12 @@ BM_StoreWarmLoad(benchmark::State &state)
                 storeKey(i), syntheticGrid(50 + i * 150 / 11, i));
     }
     daemon::SnapshotStore store(dir);
+    const auto workers = static_cast<std::size_t>(state.range(0));
+    exec::ThreadPool pool(workers);
     for (auto _ : state) {
-        const auto grids = store.loadAllGrids();
+        const auto grids = workers == 0
+                               ? store.loadAllGrids()
+                               : store.load(store.list(), &pool).grids;
         benchmark::DoNotOptimize(grids.data());
         if (grids.size() != 12) {
             storeFailed = true;
@@ -223,7 +232,53 @@ BM_StoreWarmLoad(benchmark::State &state)
                             static_cast<std::int64_t>(directoryBytes(dir)));
     std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_StoreWarmLoad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StoreWarmLoad)->Arg(0)->Arg(2)->Unit(benchmark::kMillisecond);
+
+void
+BM_StoreDaemonRestart(benchmark::State &state)
+{
+    // Daemon construction (two workers) over a store of 32-sample
+    // fine() grids, as many as the argument times the grid cache's
+    // capacity: the warm start reads only the newest files the cache
+    // holds, so a store with a long history restarts as fast as one
+    // at capacity.
+    constexpr std::size_t kCapacity = 4;
+    const std::size_t files =
+        kCapacity * static_cast<std::size_t>(state.range(0));
+    const std::string dir = "micro_store_restart";
+    std::filesystem::remove_all(dir);
+    {
+        daemon::SnapshotStore store(dir);
+        for (std::uint64_t i = 0; i < files; ++i)
+            storeFailed |= !store.storeGrid(storeKey(i), syntheticGrid(32, i));
+    }
+    daemon::DaemonOptions options;
+    options.service.jobs = 2;
+    options.service.cacheCapacity = kCapacity;
+    options.storeDir = dir;
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);  // each restart informs once
+    for (auto _ : state) {
+        auto restarted = std::make_unique<daemon::TuningDaemon>(
+            SystemConfig::paperDefault(), options);
+        state.PauseTiming();
+        const daemon::SnapshotStore::Stats io = restarted->store()->stats();
+        restarted.reset();
+        state.ResumeTiming();
+        if (io.gridLoads != kCapacity || io.loadErrors != 0) {
+            storeFailed = true;
+            state.SkipWithError("the warm start failed a load");
+            break;
+        }
+    }
+    setLogLevel(level);
+    state.counters["files"] = static_cast<double>(files);
+    std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_StoreDaemonRestart)
+    ->Arg(1)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_StoreGrid(benchmark::State &state)

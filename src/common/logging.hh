@@ -42,7 +42,10 @@ enum class LogLevel
 
 /**
  * Sink receiving every advisory message that passes the level filter.
- * Must be callable from any thread; the default sink writes to stderr.
+ * It may be called from several threads at once (a daemon's warm
+ * start warns about rejected snapshots from its pool workers), so it
+ * must synchronize whatever it writes to; the default sink writes to
+ * stderr.
  */
 using LogSink = void (*)(LogLevel, const std::string &);
 

@@ -4,6 +4,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +13,7 @@
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "exec/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "sim/grid_io.hh"
 
@@ -307,18 +310,17 @@ readWholeFile(int fd, char *buffer, std::size_t size)
     }
 }
 
-/** Paths of the directory's snapshot files whose names start @c prefix. */
-std::vector<std::string>
-snapshotPaths(const std::string &directory, std::string_view prefix)
+/**
+ * A temporary file name next to @c path that no other writer uses:
+ * the pid tells processes apart, a process-wide sequence number the
+ * writes of one process (whichever store instance makes them).
+ */
+std::string
+tempPath(const std::string &path)
 {
-    std::vector<std::string> paths;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(directory)) {
-        const std::string name = entry.path().filename().string();
-        if (name.starts_with(prefix) && name.ends_with(".snap"))
-            paths.push_back(entry.path().string());
-    }
-    return paths;
+    static std::atomic<std::uint64_t> sequence{0};
+    return path + ".tmp" + std::to_string(::getpid()) + "." +
+           std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
 }
 
 } // namespace
@@ -355,12 +357,10 @@ SnapshotStore::writeSnapshot(const std::string &path, Kind kind,
                              const PayloadWriter &payload)
 {
     obs::ScopedTimer store_timer(storeMetrics().storeNs);
-    // Unique temp name per writer, atomically renamed into place:
+    // Unique temp name per write, atomically renamed into place:
     // a crash mid-write leaves the old snapshot (or none), never a
     // torn file under the final name.
-    const std::string temp =
-        path + ".tmp" +
-        std::to_string(tempSeq_.fetch_add(1, std::memory_order_relaxed));
+    const std::string temp = tempPath(path);
     try {
         ByteWriter file;
         for (const char c : kMagic)
@@ -503,39 +503,113 @@ SnapshotStore::loadAnalysis(const svc::AnalysisKey &key)
     return result;
 }
 
+std::vector<SnapshotStore::File>
+SnapshotStore::list() const
+{
+    std::vector<File> files;
+    std::error_code ec;
+    for (fs::directory_iterator it(directory_, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (!name.ends_with(".snap"))
+            continue;
+        File file;
+        if (name.starts_with("grid-"))
+            file.kind = Kind::Grid;
+        else if (name.starts_with("analysis-"))
+            file.kind = Kind::Analysis;
+        else
+            continue;
+        file.path = it->path().string();
+        struct stat info = {};
+        if (::stat(file.path.c_str(), &info) != 0)
+            continue;  // removed since the walk saw it
+        file.size = static_cast<std::uint64_t>(info.st_size);
+        file.mtimeNs =
+            static_cast<std::int64_t>(info.st_mtim.tv_sec) * 1'000'000'000 +
+            info.st_mtim.tv_nsec;
+        files.push_back(std::move(file));
+    }
+    if (ec)
+        warn("snapshot store: cannot list '", directory_, "': ",
+             ec.message());
+    std::sort(files.begin(), files.end(), [](const File &a, const File &b) {
+        return a.mtimeNs != b.mtimeNs ? a.mtimeNs > b.mtimeNs
+                                      : a.path < b.path;
+    });
+    return files;
+}
+
+std::vector<SnapshotStore::File>
+SnapshotStore::newest(std::span<const File> listing, std::size_t grids,
+                      std::size_t analyses)
+{
+    std::vector<File> selected;
+    for (const File &file : listing) {
+        std::size_t &left = file.kind == Kind::Grid ? grids : analyses;
+        if (left > 0) {
+            --left;
+            selected.push_back(file);
+        }
+    }
+    return selected;
+}
+
+SnapshotStore::Loaded
+SnapshotStore::load(std::span<const File> files, exec::ThreadPool *pool)
+{
+    // One slot per file, written only by whichever thread loads it.
+    struct Slot
+    {
+        GridEntry grid;
+        AnalysisEntry analysis;
+    };
+    std::vector<Slot> slots(files.size());
+    const auto loadOne = [&](std::size_t i) {
+        const File &file = files[i];
+        Slot &slot = slots[i];
+        readSnapshot(file.path, file.kind,
+                     [&](std::string_view key, std::string_view payload) {
+                         if (file.kind == Kind::Grid) {
+                             slot.grid = GridEntry{
+                                 parseGridKey(key),
+                                 std::make_shared<const MeasuredGrid>(
+                                     parseGridPayload(payload))};
+                         } else {
+                             slot.analysis = AnalysisEntry{
+                                 parseAnalysisKey(key),
+                                 std::make_shared<const svc::AnalysisResult>(
+                                     parseAnalysisPayload(payload))};
+                         }
+                     });
+    };
+    if (pool != nullptr) {
+        pool->parallelFor(0, files.size(), loadOne);
+    } else {
+        for (std::size_t i = 0; i < files.size(); ++i)
+            loadOne(i);
+    }
+
+    Loaded loaded;
+    for (Slot &slot : slots) {
+        if (slot.grid.grid != nullptr)
+            loaded.grids.push_back(std::move(slot.grid));
+        else if (slot.analysis.result != nullptr)
+            loaded.analyses.push_back(std::move(slot.analysis));
+    }
+    return loaded;
+}
+
 std::vector<SnapshotStore::GridEntry>
 SnapshotStore::loadAllGrids()
 {
-    std::vector<GridEntry> entries;
-    for (const std::string &path : snapshotPaths(directory_, "grid-")) {
-        readSnapshot(path, Kind::Grid,
-                     [&](std::string_view key, std::string_view payload) {
-                         GridEntry loaded;
-                         loaded.key = parseGridKey(key);
-                         loaded.grid = std::make_shared<const MeasuredGrid>(
-                             parseGridPayload(payload));
-                         entries.push_back(std::move(loaded));
-                     });
-    }
-    return entries;
+    return load(newest(list(), SIZE_MAX, 0)).grids;
 }
 
 std::vector<SnapshotStore::AnalysisEntry>
 SnapshotStore::loadAllAnalyses()
 {
-    std::vector<AnalysisEntry> entries;
-    for (const std::string &path : snapshotPaths(directory_, "analysis-")) {
-        readSnapshot(path, Kind::Analysis,
-                     [&](std::string_view key, std::string_view payload) {
-                         AnalysisEntry loaded;
-                         loaded.key = parseAnalysisKey(key);
-                         loaded.result =
-                             std::make_shared<const svc::AnalysisResult>(
-                                 parseAnalysisPayload(payload));
-                         entries.push_back(std::move(loaded));
-                     });
-    }
-    return entries;
+    return load(newest(list(), 0, SIZE_MAX)).analyses;
 }
 
 SnapshotStore::Stats

@@ -28,24 +28,44 @@
  * I/O: a store serializes the container once into one buffer and
  * writes it with one write; a load reads the file with one sized read
  * and parses the payload in place.  Durability: the write goes to a
- * unique temporary name in the same directory, which is atomically
- * renamed into place, so a crash (kill -9) mid-write leaves either the
- * old file or no file — never a torn one.  Writes are best-effort: a
- * failed one (directory gone, disk full) removes its temporary file
- * and is counted and warned about, and the caller carries on.  Loads
- * verify magic, version, kind, key, length and checksum; anything that
- * fails verification is counted, warned about, and skipped (a corrupt
- * snapshot, or one in an older container version, degrades to a cache
- * miss, never to UB).
+ * temporary name in the same directory, unique across processes and
+ * store instances (the writer's pid and a process-wide sequence
+ * number), which is atomically renamed into place, so a crash
+ * (kill -9) mid-write leaves either the old file or no file — never a
+ * torn one — and two stores writing one key never take each other's
+ * temporary file.  Writes are best-effort: a failed one (directory
+ * gone, disk full) removes its temporary file and is counted and
+ * warned about, and the caller carries on.  Loads verify magic,
+ * version, kind, key, length, checksum and the payload's bounds;
+ * anything that fails verification is counted, warned about, and
+ * skipped (a corrupt snapshot, or one in an older container version,
+ * degrades to a cache miss, never to UB).
+ *
+ * Warm restart: list() walks the directory once into (path, kind,
+ * size, mtime) records, newest first, and opens no file; newest()
+ * selects the first records of each kind, up to a count per kind (a
+ * daemon passes its cache capacities, so what a restart reads is
+ * bounded by what its caches can hold, not by the store's history);
+ * load() reads, verifies and parses the selection, fanned over a
+ * thread pool when given one.  Each file fills the slot of its index
+ * in the selection, so the result is in selection order whatever the
+ * schedule.  A selected file that fails verification still used up
+ * its place: it is one counted load error, and no older file is read
+ * instead.  A file removed between list() and load() is skipped
+ * uncounted, like any absent snapshot.  loadAllGrids() and
+ * loadAllAnalyses() are the serial load of every listed file of one
+ * kind.  Loads, stores and listings may run concurrently on one store;
+ * its counters are atomic, and load warnings reach the log sink from
+ * whichever thread loaded the file.
  */
 
 #ifndef MCDVFS_DAEMON_SNAPSHOT_STORE_HH
 #define MCDVFS_DAEMON_SNAPSHOT_STORE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,6 +77,11 @@
 
 namespace mcdvfs
 {
+namespace exec
+{
+class ThreadPool;
+} // namespace exec
+
 namespace daemon
 {
 
@@ -94,6 +119,23 @@ class SnapshotStore
         std::uint64_t storeErrors = 0;
     };
 
+    /** What a snapshot file holds (the container's kind word). */
+    enum class Kind : std::uint32_t
+    {
+        Grid = 1,
+        Analysis = 2,
+    };
+
+    /** One snapshot file as list() found it: nothing of it was read. */
+    struct File
+    {
+        std::string path;
+        Kind kind = Kind::Grid;
+        std::uint64_t size = 0;
+        /** Last modification, nanoseconds since the epoch. */
+        std::int64_t mtimeNs = 0;
+    };
+
     /** One reloaded grid snapshot with its cache key. */
     struct GridEntry
     {
@@ -106,6 +148,13 @@ class SnapshotStore
     {
         svc::AnalysisKey key;
         std::shared_ptr<const svc::AnalysisResult> result;
+    };
+
+    /** The snapshots load() verified, each kind in its files' order. */
+    struct Loaded
+    {
+        std::vector<GridEntry> grids;
+        std::vector<AnalysisEntry> analyses;
     };
 
     /**
@@ -139,23 +188,47 @@ class SnapshotStore
         const svc::AnalysisKey &key);
 
     /**
-     * Load every verifiable grid snapshot in the directory (warm
-     * restart).  Corrupt or foreign files are skipped with a warning.
+     * The directory's grid-*.snap and analysis-*.snap files, newest
+     * first; equal modification times order by name.  One directory
+     * walk and one stat() per file, and no file is opened.  A file
+     * that vanishes during the walk is left out; a directory that
+     * cannot be walked lists nothing, with a warning; no
+     * std::filesystem_error escapes.
+     */
+    std::vector<File> list() const;
+
+    /**
+     * The first @c grids grid files and the first @c analyses
+     * analysis files of @c listing, in its order: over list(), the
+     * newest files of each kind.
+     */
+    static std::vector<File> newest(std::span<const File> listing,
+                                    std::size_t grids,
+                                    std::size_t analyses);
+
+    /**
+     * Read, verify and parse @c files: spread over @c pool (the
+     * calling thread takes part) or, without one, one after another.
+     * The result keeps the order of @c files.  A file that fails
+     * verification is one counted load error and a file that is gone
+     * is skipped; neither leaves an entry (see the file comment).
+     */
+    Loaded load(std::span<const File> files,
+                exec::ThreadPool *pool = nullptr);
+
+    /**
+     * Load every verifiable grid snapshot in the directory, newest
+     * first: the serial load() of every listed grid file.  Corrupt or
+     * foreign files are skipped with a warning.
      */
     std::vector<GridEntry> loadAllGrids();
 
-    /** Load every verifiable analysis snapshot in the directory. */
+    /** Load every verifiable analysis snapshot, as loadAllGrids(). */
     std::vector<AnalysisEntry> loadAllAnalyses();
 
     Stats stats() const;
 
   private:
-    enum class Kind : std::uint32_t
-    {
-        Grid = 1,
-        Analysis = 2,
-    };
-
     /** Serializes a payload into the container buffer. */
     using PayloadWriter = std::function<void(ByteWriter &)>;
 
@@ -185,8 +258,6 @@ class SnapshotStore
                       const SnapshotParser &parse);
 
     std::string directory_;
-    /** Suffix of this store's temporary file names. */
-    std::atomic<std::uint64_t> tempSeq_{0};
     obs::OwnedCounter gridStores_{"daemon.snapshot.grid_stores"};
     obs::OwnedCounter gridLoads_{"daemon.snapshot.grid_loads"};
     obs::OwnedCounter analysisStores_{"daemon.snapshot.analysis_stores"};

@@ -149,15 +149,22 @@ void
 TuningDaemon::warmLoad()
 {
     obs::TraceSpan warm_span("daemon.warm_load");
-    for (SnapshotStore::GridEntry &entry : store_->loadAllGrids()) {
-        service_.primeGrid(entry.key, std::move(entry.grid));
-        ++warmGrids_;
-    }
-    for (SnapshotStore::AnalysisEntry &entry :
-         store_->loadAllAnalyses()) {
-        service_.primeAnalysis(entry.key, std::move(entry.result));
-        ++warmAnalyses_;
-    }
+    // Read only what the caches can hold: the newest files of each
+    // kind, loaded over the pool while this thread takes part.
+    SnapshotStore::Loaded loaded = store_->load(
+        SnapshotStore::newest(store_->list(),
+                              options_.service.cacheCapacity,
+                              options_.service.analysisCapacity),
+        &service_.pool());
+    // Oldest first, so the newest entry is the most recently used and
+    // the caches do not depend on how the load was scheduled.
+    for (auto it = loaded.grids.rbegin(); it != loaded.grids.rend(); ++it)
+        service_.primeGrid(it->key, std::move(it->grid));
+    for (auto it = loaded.analyses.rbegin(); it != loaded.analyses.rend();
+         ++it)
+        service_.primeAnalysis(it->key, std::move(it->result));
+    warmGrids_ = service_.cacheStats().entries;
+    warmAnalyses_ = service_.analysisStats().entries;
     if (warmGrids_ + warmAnalyses_ > 0) {
         inform("tuning daemon: warm-loaded ", warmGrids_,
                " grid and ", warmAnalyses_,

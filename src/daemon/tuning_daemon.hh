@@ -40,11 +40,14 @@
  *  - Persistence: with a SnapshotStore attached, every fresh grid
  *    build and fresh analysis is written through to the store (best
  *    effort: a failed write is counted and the request still
- *    served), and construction warm-loads every stored snapshot into
+ *    served), and construction warm-loads the newest snapshots of
+ *    each kind, up to the grid and analysis cache capacities, into
  *    the caches — a restarted daemon answers its first requests from
  *    the store instead of recharacterizing the fleet (snapshots
  *    round-trip bit-identically, so warm results equal cold results
- *    exactly).
+ *    exactly).  The warm start lists the store once without opening
+ *    a file, loads the selection over the pool, and primes the caches
+ *    oldest first, so the newest snapshot is the most recently used.
  *  - Shutdown: drain() stops admission (Draining sheds), finishes the
  *    queue and every in-flight batch, then drains the pool — no
  *    accepted request is ever dropped: after drain(), admitted ==
@@ -125,8 +128,9 @@ struct DaemonOptions
     std::size_t maxBatch = 128;
     /**
      * Snapshot store directory; empty disables persistence.  When set,
-     * construction warm-loads every stored snapshot and every fresh
-     * grid/analysis is written through.
+     * construction warm-loads the newest stored snapshots, as many of
+     * each kind as its cache holds, and every fresh grid/analysis is
+     * written through.
      */
     std::string storeDir;
 };
@@ -156,9 +160,9 @@ struct DaemonStats
      * shorter content prefix instead of recomputing the full history.
      */
     std::uint64_t analysisResumed = 0;
-    /** Grid snapshots warm-loaded at construction. */
+    /** Grid snapshots resident after the warm start. */
     std::uint64_t warmGrids = 0;
-    /** Analysis snapshots warm-loaded at construction. */
+    /** Analysis snapshots resident after the warm start. */
     std::uint64_t warmAnalyses = 0;
 };
 

@@ -5,15 +5,23 @@
  * mismatched-key rejection), corrupt/truncated/version-skewed file
  * rejection, element counts a payload cannot hold, the rebuild of a
  * store written by the previous container version, atomic-write
- * hygiene (also when a write fails), and warm-restart bulk loads.
+ * hygiene (also when a write fails, and with two stores writing one
+ * key), warm-restart bulk loads, the newest-first listing, pooled
+ * loads against serial ones, and a daemon's warm start capped at its
+ * cache capacities.
  */
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,6 +29,7 @@
 #include "common/logging.hh"
 #include "daemon/snapshot_store.hh"
 #include "daemon/tuning_daemon.hh"
+#include "exec/thread_pool.hh"
 #include "sim/grid_io.hh"
 #include "svc/characterization_service.hh"
 #include "test_grid.hh"
@@ -588,6 +597,338 @@ TEST(SnapshotStore, WarmRestartLoadsEverythingVerifiable)
     expectAnalysesBitEqual(*analyses[0].result, sampleAnalysis());
 
     EXPECT_EQ(reopened.stats().loadErrors, 2u);
+    fs::remove_all(dir);
+}
+
+/** The path a store gives the snapshot of @c kind under @c digest. */
+std::string
+snapshotPath(const std::string &dir, const char *kind,
+             std::uint64_t digest)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(digest));
+    return dir + "/" + kind + "-" + hex + ".snap";
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+rewriteFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Set @c path's modification time @c seconds past a fixed base. */
+void
+setMtime(const std::string &path, int seconds)
+{
+    static const fs::file_time_type base =
+        fs::file_time_type::clock::now() - std::chrono::hours(1);
+    fs::last_write_time(path, base + std::chrono::seconds(seconds));
+}
+
+TEST(SnapshotStore, TwoStoresWritingOneKeyNeverCollide)
+{
+    // Two store instances on one directory (as two processes would
+    // open it) write one analysis key at the same moment, round after
+    // round.  Every write has its own temporary name, so no rename
+    // takes the other writer's file.
+    const std::string dir = freshDir("two_writers");
+    const svc::AnalysisKey key = analysisKey(13);
+    const svc::AnalysisResult &result = sampleAnalysis();
+    SnapshotStore first(dir);
+    SnapshotStore second(dir);
+    constexpr int kRounds = 200;
+    std::barrier together(2);
+    const auto write = [&](SnapshotStore &store) {
+        for (int round = 0; round < kRounds; ++round) {
+            together.arrive_and_wait();
+            store.storeAnalysis(key, result);
+        }
+    };
+    std::thread other(write, std::ref(second));
+    write(first);
+    other.join();
+
+    EXPECT_EQ(first.stats().storeErrors, 0u);
+    EXPECT_EQ(second.stats().storeErrors, 0u);
+    EXPECT_EQ(first.stats().analysisStores, std::uint64_t{kRounds});
+    EXPECT_EQ(second.stats().analysisStores, std::uint64_t{kRounds});
+    const auto loaded = SnapshotStore(dir).loadAnalysis(key);
+    ASSERT_NE(loaded, nullptr);
+    expectAnalysesBitEqual(*loaded, result);
+    EXPECT_EQ(onlySnapshotPath(dir), snapshotPath(dir, "analysis",
+                                                  key.combined()));
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotStore, ListsNewestFirstAndSelectsPerKind)
+{
+    const std::string dir = freshDir("listing");
+    SnapshotStore store(dir);
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+        ASSERT_TRUE(store.storeGrid(gridKey(i), test::steadyGrid()));
+        ASSERT_TRUE(store.storeAnalysis(analysisKey(i), sampleAnalysis()));
+    }
+    std::ofstream(dir + "/README.txt") << "not a snapshot";
+    const auto grid = [&](std::uint64_t i) {
+        return snapshotPath(dir, "grid", gridKey(i).combined());
+    };
+    const auto analysis = [&](std::uint64_t i) {
+        return snapshotPath(dir, "analysis", analysisKey(i).combined());
+    };
+    // Oldest to newest: grid 1, analysis 1, grid 2, analysis 2, then
+    // grid 3 and analysis 3 at one time, which order by name.
+    setMtime(grid(1), 1);
+    setMtime(analysis(1), 2);
+    setMtime(grid(2), 3);
+    setMtime(analysis(2), 4);
+    setMtime(grid(3), 5);
+    setMtime(analysis(3), 5);
+
+    using Kind = SnapshotStore::Kind;
+    const std::vector<std::pair<std::string, Kind>> expected = {
+        {analysis(3), Kind::Analysis}, {grid(3), Kind::Grid},
+        {analysis(2), Kind::Analysis}, {grid(2), Kind::Grid},
+        {analysis(1), Kind::Analysis}, {grid(1), Kind::Grid}};
+    const std::vector<SnapshotStore::File> listed = store.list();
+    ASSERT_EQ(listed.size(), expected.size());
+    for (std::size_t i = 0; i < listed.size(); ++i) {
+        EXPECT_EQ(listed[i].path, expected[i].first) << i;
+        EXPECT_EQ(listed[i].kind, expected[i].second) << i;
+        EXPECT_EQ(listed[i].size, fs::file_size(listed[i].path)) << i;
+    }
+
+    // The newest grid and the two newest analyses, in listing order.
+    const std::vector<SnapshotStore::File> selected =
+        SnapshotStore::newest(listed, 1, 2);
+    ASSERT_EQ(selected.size(), 3u);
+    EXPECT_EQ(selected[0].path, analysis(3));
+    EXPECT_EQ(selected[1].path, grid(3));
+    EXPECT_EQ(selected[2].path, analysis(2));
+    EXPECT_TRUE(SnapshotStore::newest(listed, 0, 0).empty());
+    // Listing read no file.
+    EXPECT_EQ(store.stats().gridLoads + store.stats().analysisLoads, 0u);
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotStore, PooledLoadEqualsSerialLoad)
+{
+    // Good grids and analyses plus one corrupt, one truncated and one
+    // old-version file: for every pool size, one pooled load of the
+    // listing returns the serial calls' entries in their order, with
+    // their counts, each bad file one load error.
+    const std::string dir = freshDir("pooled");
+    {
+        SnapshotStore store(dir);
+        for (std::uint64_t i = 1; i <= 7; ++i) {
+            ASSERT_TRUE(store.storeGrid(gridKey(i), i % 2 == 0
+                                                        ? test::steadyGrid()
+                                                        : test::phasedGrid()));
+            ASSERT_TRUE(store.storeAnalysis(
+                analysisKey(i, 1.0 + 0.1 * static_cast<double>(i)),
+                sampleAnalysis()));
+        }
+    }
+    {
+        const std::string corrupt =
+            snapshotPath(dir, "grid", gridKey(2).combined());
+        std::string bytes = fileBytes(corrupt);
+        bytes[bytes.size() / 2] ^= 0x10;
+        rewriteFile(corrupt, bytes);
+
+        const std::string truncated =
+            snapshotPath(dir, "grid", gridKey(5).combined());
+        bytes = fileBytes(truncated);
+        rewriteFile(truncated, bytes.substr(0, bytes.size() - 7));
+
+        const std::string old = snapshotPath(
+            dir, "analysis", analysisKey(3, 1.3).combined());
+        bytes = fileBytes(old);
+        bytes[8] = 2;  // the container version word
+        rewriteFile(old, bytes);
+    }
+
+    SnapshotStore serial(dir);
+    const std::vector<SnapshotStore::GridEntry> grids =
+        serial.loadAllGrids();
+    const std::vector<SnapshotStore::AnalysisEntry> analyses =
+        serial.loadAllAnalyses();
+    ASSERT_EQ(grids.size(), 5u);
+    ASSERT_EQ(analyses.size(), 6u);
+    EXPECT_EQ(serial.stats().loadErrors, 3u);
+
+    for (const std::size_t jobs : {1u, 2u, 4u}) {
+        SnapshotStore pooled(dir);
+        exec::ThreadPool pool(jobs);
+        const SnapshotStore::Loaded loaded =
+            pooled.load(pooled.list(), &pool);
+        ASSERT_EQ(loaded.grids.size(), grids.size()) << jobs;
+        for (std::size_t i = 0; i < grids.size(); ++i) {
+            EXPECT_TRUE(loaded.grids[i].key == grids[i].key) << jobs;
+            EXPECT_EQ(test::gridBytes(*loaded.grids[i].grid),
+                      test::gridBytes(*grids[i].grid))
+                << jobs;
+        }
+        ASSERT_EQ(loaded.analyses.size(), analyses.size()) << jobs;
+        for (std::size_t i = 0; i < analyses.size(); ++i) {
+            EXPECT_TRUE(loaded.analyses[i].key == analyses[i].key) << jobs;
+            expectAnalysesBitEqual(*loaded.analyses[i].result,
+                                   *analyses[i].result);
+        }
+        const SnapshotStore::Stats a = pooled.stats();
+        const SnapshotStore::Stats b = serial.stats();
+        EXPECT_EQ(a.gridLoads, b.gridLoads) << jobs;
+        EXPECT_EQ(a.analysisLoads, b.analysisLoads) << jobs;
+        EXPECT_EQ(a.loadErrors, b.loadErrors) << jobs;
+        EXPECT_EQ(a.gridStores + a.analysisStores + a.storeErrors, 0u);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SnapshotStore, VanishedFilesAreSkippedNeverThrown)
+{
+    const std::string dir = freshDir("vanished");
+    SnapshotStore store(dir);
+    ASSERT_TRUE(store.storeGrid(gridKey(1), test::phasedGrid()));
+    ASSERT_TRUE(store.storeGrid(gridKey(2), test::steadyGrid()));
+    const std::vector<SnapshotStore::File> listed = store.list();
+    ASSERT_EQ(listed.size(), 2u);
+
+    // A file removed between the listing and the load is skipped like
+    // any absent snapshot: not an entry, not an error.
+    fs::remove(listed[0].path);
+    SnapshotStore::Loaded loaded;
+    EXPECT_NO_THROW(loaded = store.load(listed));
+    ASSERT_EQ(loaded.grids.size(), 1u);
+    EXPECT_EQ(snapshotPath(dir, "grid", loaded.grids[0].key.combined()),
+              listed[1].path);
+    EXPECT_EQ(store.stats().gridLoads, 1u);
+    EXPECT_EQ(store.stats().loadErrors, 0u);
+
+    // A store whose directory is gone lists and loads nothing; no
+    // std::filesystem_error escapes.
+    fs::remove_all(dir);
+    EXPECT_NO_THROW(EXPECT_TRUE(store.list().empty()));
+    EXPECT_NO_THROW(EXPECT_TRUE(store.loadAllGrids().empty()));
+    EXPECT_NO_THROW(EXPECT_TRUE(store.loadAllAnalyses().empty()));
+}
+
+/**
+ * @c count keys, made by @c make from 1, 2, ..., whose last two land
+ * in different shards of a two-shard cache (a capacity-2 cache has
+ * two shards of one entry each, picked by the key's digest).
+ */
+template <typename Key, typename Make>
+std::vector<Key>
+keysEndingInTwoShards(std::size_t count, Make make)
+{
+    std::vector<Key> keys;
+    for (std::uint64_t i = 1; keys.size() < count; ++i) {
+        const Key key = make(i);
+        if (keys.size() == count - 1 &&
+            key.combined() % 2 == keys.back().combined() % 2)
+            continue;
+        keys.push_back(key);
+    }
+    return keys;
+}
+
+TEST(SnapshotStore, WarmStartLoadsOnlyTheNewestUpToCapacity)
+{
+    // Five grid files and five analysis files, each kind older to
+    // newer, under caches of two: the daemon reads the two newest of
+    // each kind and nothing else.
+    const std::string dir = freshDir("capped_warm");
+    const std::vector<svc::GridKey> grid_keys =
+        keysEndingInTwoShards<svc::GridKey>(
+            5, [](std::uint64_t i) { return gridKey(100 + i); });
+    const std::vector<svc::AnalysisKey> analysis_keys =
+        keysEndingInTwoShards<svc::AnalysisKey>(
+            5, [](std::uint64_t i) { return analysisKey(200 + i); });
+    std::vector<std::string> grid_files, analysis_files;
+    {
+        SnapshotStore store(dir);
+        for (std::size_t i = 0; i < 5; ++i) {
+            ASSERT_TRUE(store.storeGrid(grid_keys[i], test::phasedGrid()));
+            ASSERT_TRUE(
+                store.storeAnalysis(analysis_keys[i], sampleAnalysis()));
+            grid_files.push_back(
+                snapshotPath(dir, "grid", grid_keys[i].combined()));
+            analysis_files.push_back(
+                snapshotPath(dir, "analysis", analysis_keys[i].combined()));
+        }
+    }
+    const auto age = [&] {
+        for (std::size_t i = 0; i < 5; ++i) {
+            setMtime(grid_files[i], static_cast<int>(10 + i));
+            setMtime(analysis_files[i], static_cast<int>(20 + i));
+        }
+    };
+    age();
+
+    daemon::DaemonOptions options;
+    options.storeDir = dir;
+    options.service.cacheCapacity = 2;
+    options.service.analysisCapacity = 2;
+    const svc::TuningRequest request{test::phasedWorkload(),
+                                     SettingsSpace::coarse(), 1.3, 0.03};
+    const auto grid = std::make_shared<const MeasuredGrid>(test::phasedGrid());
+    {
+        daemon::TuningDaemon daemon(test::fastSystemConfig(), options);
+        const SnapshotStore::Stats io = daemon.store()->stats();
+        EXPECT_EQ(io.gridLoads, 2u);
+        EXPECT_EQ(io.analysisLoads, 2u);
+        EXPECT_EQ(io.loadErrors, 0u);
+        EXPECT_EQ(daemon.stats().warmGrids, 2u);
+        EXPECT_EQ(daemon.stats().warmAnalyses, 2u);
+        svc::CharacterizationService &service = daemon.service();
+        EXPECT_EQ(service.cacheStats().entries, 2u);
+        EXPECT_EQ(service.analysisStats().entries, 2u);
+        EXPECT_NE(service.findGrid(grid_keys[3]), nullptr);
+        EXPECT_NE(service.findGrid(grid_keys[4]), nullptr);
+        for (std::size_t i = 3; i < 5; ++i) {
+            EXPECT_TRUE(service
+                            .analyze(request, analysis_keys[i].grid, grid,
+                                     true)
+                            .analysisCacheHit)
+                << i;
+        }
+        daemon.drain();
+    }
+    // The older files are still on disk, never read.
+    for (std::size_t i = 0; i < 5; ++i) {
+        EXPECT_TRUE(fs::exists(grid_files[i])) << i;
+        EXPECT_TRUE(fs::exists(analysis_files[i])) << i;
+    }
+
+    // A corrupt file among the newest uses up its place: one load
+    // error, and the third-newest file is still not read.
+    {
+        std::string bytes = fileBytes(grid_files[4]);
+        bytes[bytes.size() / 2] ^= 0x10;
+        rewriteFile(grid_files[4], bytes);
+        age();
+    }
+    daemon::TuningDaemon restarted(test::fastSystemConfig(), options);
+    const SnapshotStore::Stats io = restarted.store()->stats();
+    EXPECT_EQ(io.gridLoads, 1u);
+    EXPECT_EQ(io.analysisLoads, 2u);
+    EXPECT_EQ(io.loadErrors, 1u);
+    EXPECT_EQ(restarted.stats().warmGrids, 1u);
+    EXPECT_EQ(restarted.stats().warmAnalyses, 2u);
+    EXPECT_NE(restarted.service().findGrid(grid_keys[3]), nullptr);
+    EXPECT_EQ(restarted.service().findGrid(grid_keys[4]), nullptr);
+    EXPECT_EQ(restarted.service().findGrid(grid_keys[2]), nullptr);
+    restarted.drain();
     fs::remove_all(dir);
 }
 
