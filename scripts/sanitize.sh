@@ -18,10 +18,10 @@
 #      analysis results shared between pool and caller threads, and a
 #      loaded grid read by several threads at once) — the
 #      lock-free metric stripes, the strip CAS pop/steal protocol,
-#      the seqlock-protected trace slots, the cache/coalescing paths,
-#      the daemon's batcher/drain handoffs and the checkpoint store
-#      probed/extended by concurrent daemon batches are where data
-#      races would live.
+#      the seqlock-protected trace slots, the cache paths, the
+#      daemon's build join and batcher/drain handoffs and the
+#      checkpoint store probed/extended by concurrent daemon batches
+#      are where data races would live.
 #
 # Usage: scripts/sanitize.sh [--asan-only|--tsan-only]
 # Build trees land in build-asan/ and build-tsan/ next to build/.

@@ -1,7 +1,6 @@
 #include "daemon/tuning_daemon.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <ctime>
 #include <unordered_map>
 #include <utility>
@@ -126,8 +125,7 @@ shedReasonName(ShedReason reason)
 
 TuningDaemon::TuningDaemon(const SystemConfig &config,
                            const Options &options)
-    : config_(config), options_(options),
-      service_(config, options.service)
+    : options_(options), service_(config, options.service)
 {
     if (options_.queueCapacity == 0)
         fatal("tuning daemon: queue capacity must be >= 1");
@@ -312,17 +310,18 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
     }
 
     // A group whose grid this daemon is already building joins that
-    // build.  Every other group probes its grid once, under its first
-    // member's request flow; a group that must build becomes a pool
-    // task, submitted before any cached group runs, so distinct builds
-    // characterize concurrently and none waits behind warm work.
-    std::vector<std::future<void>> builds;
+    // build; its lead is the one member not counted above.  Every
+    // other group probes its grid once, under its first member's
+    // request flow; a group that must build becomes a pool task,
+    // submitted before any cached group runs, so distinct builds
+    // characterize concurrently and none waits behind warm work.  The
+    // task's future is dropped: drain() waits on the pool itself.
     for (auto &[key, group] : groups) {
         {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
+            std::lock_guard<std::mutex> lock(buildingMutex_);
             const auto it = building_.find(key);
             if (it != building_.end()) {
-                coalesced_.add(group.members.size());
+                coalesced_.add();
                 for (Pending &pending : group.members)
                     it->second.push_back(std::move(pending));
                 continue;
@@ -344,32 +343,17 @@ TuningDaemon::dispatchBatch(std::vector<Pending> batch)
             continue;
         }
         {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
+            std::lock_guard<std::mutex> lock(buildingMutex_);
             building_.emplace(key, std::move(group.members));
         }
         try {
-            builds.push_back(service_.pool().submit(
-                [this, key = key, grid_ns = group.gridNs] {
-                    runBuild(key, grid_ns);
-                }));
+            service_.pool().submit([this, key = key, grid_ns = group.gridNs] {
+                runBuild(key, grid_ns);
+            });
         } catch (...) {
             std::vector<Pending> members = takeBuildMembers(key, true);
             failGroup(members, std::current_exception());
         }
-    }
-
-    if (!builds.empty()) {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        // Reap finished builds so the in-flight list stays small.
-        inflight_.erase(
-            std::remove_if(inflight_.begin(), inflight_.end(),
-                           [](std::future<void> &f) {
-                               return f.wait_for(std::chrono::seconds(0)) ==
-                                      std::future_status::ready;
-                           }),
-            inflight_.end());
-        for (std::future<void> &build : builds)
-            inflight_.push_back(std::move(build));
     }
 
     for (auto &[key, group] : groups) {
@@ -393,7 +377,7 @@ TuningDaemon::failGroup(std::vector<Pending> &members,
 std::vector<TuningDaemon::Pending>
 TuningDaemon::takeBuildMembers(const svc::GridKey &key, bool release)
 {
-    std::lock_guard<std::mutex> lock(inflightMutex_);
+    std::lock_guard<std::mutex> lock(buildingMutex_);
     const auto it = building_.find(key);
     MCDVFS_ASSERT(it != building_.end(), "no build in flight for the key");
     std::vector<Pending> members;
@@ -416,10 +400,9 @@ TuningDaemon::buildStage(const svc::GridKey &key, const Pending &lead,
         if (probe)
             grid = service_.findGrid(key);
         grid_hit = grid != nullptr;
-        if (grid == nullptr) {
+        if (grid == nullptr)
             grid = service_.buildGrid(key, lead.request.workload,
-                                      lead.request.space, grid_hit);
-        }
+                                      lead.request.space);
     }
     grid_ns += obs::elapsedNs(start);
     daemonMetrics().gridStageNs.record(grid_ns);
@@ -432,45 +415,35 @@ void
 TuningDaemon::runBuild(const svc::GridKey &key, std::uint64_t grid_ns)
 {
     const BuildCpuScope cpu;
-    std::vector<Pending> members = takeBuildMembers(key, false);
-    obs::TraceSpan group_span("daemon.run_group", members.size());
     const std::uint64_t digest = key.combined();
-
-    // Grid stage: one characterization (or a join of one in flight).
-    // A failure fails the members taken above: they all need this
-    // grid.
-    bool grid_hit = false;
     std::shared_ptr<const MeasuredGrid> grid;
-    try {
-        grid = buildStage(key, members.front(), false, grid_hit, grid_ns);
-    } catch (...) {
-        failGroup(members, std::current_exception());
-    }
-    if (grid != nullptr)
+    // Two takes: the members waiting when the task starts, then, with
+    // the key released, those that joined while it ran.  Releasing it
+    // ends the task even under steady traffic on its key, and later
+    // batches probe again, so a built grid's later traffic runs on the
+    // batcher.  An identical joiner finds the first take's analysis
+    // cached.
+    for (const bool release : {false, true}) {
+        std::vector<Pending> members = takeBuildMembers(key, release);
+        if (members.empty())
+            continue;
+        obs::TraceSpan group_span("daemon.run_group", members.size());
+        bool grid_hit = grid != nullptr;
+        if (grid == nullptr) {
+            // The first take builds.  If that failed, the joiners were
+            // not part of it: they probe and build as their own group,
+            // as a later batch's would.
+            try {
+                grid = buildStage(key, members.front(), release, grid_hit,
+                                  grid_ns);
+            } catch (...) {
+                failGroup(members, std::current_exception());
+                grid_ns = 0;
+                continue;
+            }
+        }
         runGroup(digest, members, grid, grid_hit, grid_ns);
-
-    // One more take, which releases the key: the members that joined
-    // while this task ran.  Later batches probe again, so the task
-    // ends even under steady traffic on its key, and a built grid's
-    // later traffic runs on the batcher.  The first members' analyses
-    // are cached by now, so an identical joiner finds its analysis.
-    members = takeBuildMembers(key, true);
-    if (members.empty())
-        return;
-    if (grid != nullptr) {
-        runGroup(digest, members, grid, true, grid_ns);
-        return;
     }
-    // The build failed: the joiners were not part of it, so they
-    // probe and build as their own group, as a later batch's would.
-    grid_ns = 0;
-    try {
-        grid = buildStage(key, members.front(), true, grid_hit, grid_ns);
-    } catch (...) {
-        failGroup(members, std::current_exception());
-        return;
-    }
-    runGroup(digest, members, grid, grid_hit, grid_ns);
 }
 
 void
@@ -567,18 +540,9 @@ TuningDaemon::drain()
     if (batcher_.joinable())
         batcher_.join();
 
-    // Every build group must finish before the pool drains (a drained
-    // pool rejects the service's internal batch submits).
-    std::vector<std::future<void>> inflight;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        inflight.swap(inflight_);
-    }
-    for (std::future<void> &future : inflight)
-        future.get();
-
-    if (!service_.pool().draining())
-        service_.pool().drain();
+    // The batcher has submitted its last build task; the pool's drain
+    // returns once none is queued or running.
+    service_.pool().drain();
 }
 
 std::size_t

@@ -31,10 +31,11 @@
  *    distinct grids characterize concurrently and no build waits
  *    behind warm work.  A later batch's group whose grid is still
  *    building joins that build's task and runs after its members, so
- *    a grid is built once.  The task takes its members twice: those
- *    waiting when it starts, then those that joined while it ran;
- *    the second take releases the key, so later traffic on a built
- *    grid probes, hits and runs on the batcher.
+ *    a grid is built once: the task's key in building_ is the one
+ *    record of a grid in flight.  The task takes its members twice:
+ *    those waiting when it starts, then those that joined while it
+ *    ran; the second take releases the key, so later traffic on a
+ *    built grid probes, hits and runs on the batcher.
  *    This is the library's one batch loop: the service underneath
  *    answers one request at a time.
  *  - Persistence: with a SnapshotStore attached, every fresh grid
@@ -48,8 +49,9 @@
  *    exactly).  The warm start lists the store once without opening
  *    a file, loads the selection over the pool, and primes the caches
  *    oldest first, so the newest snapshot is the most recently used.
- *  - Shutdown: drain() stops admission (Draining sheds), finishes the
- *    queue and every in-flight batch, then drains the pool — no
+ *  - Shutdown: drain() stops admission (Draining sheds), joins the
+ *    batcher once it has dispatched the queue, then drains the pool,
+ *    which waits for every build task still queued or running — no
  *    accepted request is ever dropped: after drain(), admitted ==
  *    completed + failed.
  *
@@ -196,8 +198,8 @@ class TuningDaemon
 
     /**
      * Graceful shutdown: stop admitting (subsequent submits shed with
-     * Draining), finish every queued and in-flight request, then drain
-     * the pool.  Idempotent.
+     * Draining), dispatch every queued request, then drain the pool,
+     * so every admitted future is resolved on return.  Idempotent.
      */
     void drain();
 
@@ -239,13 +241,13 @@ class TuningDaemon
      */
     void dispatchBatch(std::vector<Pending> batch);
     /**
-     * Build task of @c key: the grid stage (build or join, then the
-     * snapshot) and the analysis stage of the members waiting for
-     * this build, then one more take, which releases the key, for the
-     * members later batches added while it ran.  @c grid_ns is the
-     * time the batcher spent probing.  Never throws: a grid-stage
-     * failure fails the members taken before it, and the later ones
-     * probe and build as their own group.
+     * Build task of @c key: the grid stage (build, then the snapshot)
+     * and the analysis stage of the members waiting for this build,
+     * then one more take, which releases the key, for the members
+     * later batches added while it ran.  @c grid_ns is the time the
+     * batcher spent probing.  Never throws: a grid-stage failure fails
+     * the members of the first take, and those of the second probe
+     * and build as their own group.
      */
     void runBuild(const svc::GridKey &key, std::uint64_t grid_ns);
     /**
@@ -276,7 +278,6 @@ class TuningDaemon
     static void shed(std::promise<DaemonResponse> promise,
                      ShedReason reason);
 
-    SystemConfig config_;
     Options options_;
     svc::CharacterizationService service_;
     std::unique_ptr<SnapshotStore> store_;
@@ -288,15 +289,14 @@ class TuningDaemon
     bool draining_ = false;
 
     /**
-     * Build groups in flight: their task futures, reaped as they
-     * complete, and by key the members waiting for each build.  A
+     * By key, the members waiting for each build task in flight.  A
      * later batch's group whose key is building joins the waiting
      * members instead of probing, so it runs behind the build's first
      * members (an identical request finds their analysis cached).
-     * The task releases the key after its second take.
+     * The task releases the key after its second take; the pool, not
+     * the daemon, tracks the task itself (drain()).
      */
-    std::mutex inflightMutex_;
-    std::vector<std::future<void>> inflight_;
+    std::mutex buildingMutex_;
     std::unordered_map<svc::GridKey, std::vector<Pending>, exec::DigestHash>
         building_;
 

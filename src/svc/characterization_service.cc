@@ -22,9 +22,7 @@ struct ServiceMetrics
 {
     obs::Counter requests;
     obs::Counter gridBuilds;
-    obs::Counter coalescedWaits;
     obs::Counter analyzeNs;
-    obs::Gauge inflightBuilds;
     obs::Histogram submitNs;
     obs::Histogram buildNs;
 
@@ -34,9 +32,7 @@ struct ServiceMetrics
         const auto latency = obs::MetricsRegistry::latencyBucketsNs();
         requests = reg.counter("svc.service.requests");
         gridBuilds = reg.counter("svc.service.grid_builds");
-        coalescedWaits = reg.counter("svc.service.coalesced_waits");
         analyzeNs = reg.counter("svc.service.analyze_ns");
-        inflightBuilds = reg.gauge("svc.service.inflight_builds");
         submitNs = reg.histogram("svc.service.submit_ns", latency);
         buildNs = reg.histogram("svc.service.build_ns", latency);
     }
@@ -49,8 +45,14 @@ serviceMetrics()
     return metrics;
 }
 
-/** Lock granularity of every cache the service owns. */
-constexpr std::size_t kCacheShards = 8;
+/**
+ * Lock granularity of every cache the service owns: one shard, an
+ * exact LRU (a fixed per-shard share of the capacity evicts keys that
+ * hash unevenly before the cache is full).  Only the daemon's batcher
+ * and build tasks probe the grid, analysis and checkpoint caches, and
+ * the profile cache sees one probe per simulated sample.
+ */
+constexpr std::size_t kCacheShards = 1;
 
 } // namespace
 
@@ -106,7 +108,6 @@ CharacterizationService::grid(const WorkloadProfile &workload,
                               const SettingsSpace &space,
                               bool &cache_hit)
 {
-    cache_hit = false;
     return gridFor(keyFor(workload, space), workload, space, cache_hit);
 }
 
@@ -130,11 +131,9 @@ CharacterizationService::gridFor(const GridKey &key,
                                  const SettingsSpace &space,
                                  bool &cache_hit)
 {
-    if (auto cached = findGrid(key)) {
-        cache_hit = true;
-        return cached;
-    }
-    return buildGrid(key, workload, space, cache_hit);
+    std::shared_ptr<const MeasuredGrid> cached = findGrid(key);
+    cache_hit = cached != nullptr;
+    return cache_hit ? cached : buildGrid(key, workload, space);
 }
 
 std::shared_ptr<const MeasuredGrid>
@@ -149,58 +148,17 @@ CharacterizationService::findGrid(const GridKey &key)
 std::shared_ptr<const MeasuredGrid>
 CharacterizationService::buildGrid(const GridKey &key,
                                    const WorkloadProfile &workload,
-                                   const SettingsSpace &space,
-                                   bool &coalesced)
+                                   const SettingsSpace &space)
 {
-    // Either claim the build or coalesce with whoever is already
-    // characterizing this key.  The builder runs the build on its own
-    // thread (never queued behind a waiter), so waiting on the shared
-    // future cannot deadlock, even from a pool worker.
-    std::promise<std::shared_ptr<const MeasuredGrid>> promise;
-    std::shared_future<std::shared_ptr<const MeasuredGrid>> watch;
-    {
-        std::lock_guard<std::mutex> lock(inflightMutex_);
-        const auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            watch = it->second;
-        } else {
-            inflight_.emplace(key, promise.get_future().share());
-        }
-    }
-    if (watch.valid()) {
-        serviceMetrics().coalescedWaits.add(1);
-        obs::TraceSpan wait_span("svc.coalesced_wait");
-        coalesced = true;
-        return watch.get();
-    }
-
-    serviceMetrics().inflightBuilds.add(1);
-    try {
-        const obs::Clock::time_point build_start = obs::metricsNow();
-        obs::TraceSpan build_span("svc.grid_build");
-        auto grid = std::make_shared<const MeasuredGrid>(
-            runner_.run(workload, space));
-        build_span.end();
-        serviceMetrics().buildNs.record(obs::elapsedNs(build_start));
-        serviceMetrics().gridBuilds.add(1);
-        cache_.insert(key, grid);
-        {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(key);
-        }
-        serviceMetrics().inflightBuilds.add(-1);
-        promise.set_value(grid);
-        coalesced = false;
-        return grid;
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(key);
-        }
-        serviceMetrics().inflightBuilds.add(-1);
-        promise.set_exception(std::current_exception());
-        throw;
-    }
+    const obs::Clock::time_point build_start = obs::metricsNow();
+    obs::TraceSpan build_span("svc.grid_build");
+    auto grid =
+        std::make_shared<const MeasuredGrid>(runner_.run(workload, space));
+    build_span.end();
+    serviceMetrics().buildNs.record(obs::elapsedNs(build_start));
+    serviceMetrics().gridBuilds.add(1);
+    cache_.insert(key, grid);
+    return grid;
 }
 
 TuningResult

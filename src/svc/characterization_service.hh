@@ -9,16 +9,13 @@
  * budget?" — without the caller touching GridRunner or the analysis
  * chain.
  *
- * Five mechanisms make repeated and concurrent traffic cheap:
+ * Four mechanisms make repeated traffic cheap:
  *  - the per-setting model evaluation of a grid build fans out over
  *    the pool (bit-identical to the serial build, see GridRunner);
- *  - finished grids land in a sharded LRU cache keyed by content
+ *  - finished grids land in an LRU cache keyed by content
  *    fingerprints, so any request over the same (workload, space,
  *    config) skips characterization entirely;
- *  - identical characterizations already in flight are coalesced:
- *    concurrent submitters of the same key wait for the first build
- *    instead of duplicating it;
- *  - finished analyses land in a second sharded LRU cache keyed by
+ *  - finished analyses land in a second LRU cache keyed by
  *    (grid fingerprint, budget, threshold), so repeated tuning
  *    requests skip the §V/§VI analysis chain as well;
  *  - streaming workloads resume: every result-cache miss is one
@@ -28,17 +25,15 @@
  *    empty checkpoint, bit-identical to a full recompute.
  *
  * The service answers one request per call; daemon::TuningDaemon is
- * the batch loop that groups requests by GridKey.
+ * the batch loop that groups requests by GridKey and joins later
+ * requests to a grid it is already building.
  */
 
 #ifndef MCDVFS_SVC_CHARACTERIZATION_SERVICE_HH
 #define MCDVFS_SVC_CHARACTERIZATION_SERVICE_HH
 
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "core/stable_regions.hh"
@@ -139,9 +134,9 @@ struct TuningResult
     double budget = 0.0;
     double threshold = 0.0;
     /**
-     * True when the grid came from the cache or was coalesced with an
-     * identical build (in a daemon batch group or already in flight)
-     * instead of being characterized for this request.
+     * True when the grid came from the cache, or from the build an
+     * earlier member of the same daemon build group ran, instead of
+     * being characterized for this request.
      */
     bool cacheHit = false;
     /**
@@ -163,9 +158,9 @@ struct TuningResult
 struct ServiceOptions
 {
     /**
-     * Worker threads for grid builds and analysis fills; 1 keeps
-     * everything on the calling thread (still correct, see
-     * ThreadPool), 0 is promoted to 1.
+     * Worker threads for grid builds and analysis fills: the pool has
+     * max(1, jobs) workers, so 0 means 1.  The calling thread takes
+     * part in every fill as well (ThreadPool::parallelFor).
      */
     std::size_t jobs = 1;
     /** Grids kept by the LRU cache. */
@@ -204,18 +199,15 @@ class CharacterizationService
 
     /**
      * The measured grid of @c workload over @c space: served from the
-     * cache when fingerprints match, coalesced with an identical build
-     * in flight, characterized (in parallel) otherwise.
+     * cache when fingerprints match, characterized (in parallel)
+     * otherwise.
      */
     std::shared_ptr<const MeasuredGrid> grid(
         const WorkloadProfile &workload, const SettingsSpace &space);
 
     /**
      * Same, reporting through @c cache_hit whether the grid was served
-     * from the cache (or coalesced with a build already in flight)
-     * instead of characterized for this call.  Staged pipelines (the
-     * daemon's grid stage) use this to attribute latency and hit rates
-     * per stage.
+     * from the cache instead of characterized for this call.
      */
     std::shared_ptr<const MeasuredGrid> grid(
         const WorkloadProfile &workload, const SettingsSpace &space,
@@ -232,14 +224,15 @@ class CharacterizationService
     std::shared_ptr<const MeasuredGrid> findGrid(const GridKey &key);
 
     /**
-     * The grid of @c key after findGrid() missed: joins the build of
-     * @c key already in flight, or claims, runs and inserts it.
-     * @c coalesced reports whether this call joined another build
-     * instead of characterizing.  Counts no second cache hit or miss.
+     * The grid of @c key after findGrid() missed: characterizes it,
+     * counts the build and inserts it into the cache.  Counts no
+     * second cache hit or miss.  Concurrent calls for one key each
+     * build (bit-identical grids; the last insert wins):
+     * daemon::TuningDaemon runs at most one build task per key.
      */
     std::shared_ptr<const MeasuredGrid> buildGrid(
         const GridKey &key, const WorkloadProfile &workload,
-        const SettingsSpace &space, bool &coalesced);
+        const SettingsSpace &space);
 
     /**
      * Run (or fetch from the analysis cache) the §V/§VI analysis chain
@@ -332,13 +325,6 @@ class CharacterizationService
      * checkpointCapacity > 0).
      */
     std::unique_ptr<CheckpointCache> checkpoints_;
-
-    /** Builds of grids currently characterizing, for coalescing. */
-    std::mutex inflightMutex_;
-    std::unordered_map<
-        GridKey, std::shared_future<std::shared_ptr<const MeasuredGrid>>,
-        exec::DigestHash>
-        inflight_;
 };
 
 } // namespace svc

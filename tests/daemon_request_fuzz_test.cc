@@ -9,14 +9,16 @@
  *
  * Invalid budgets and thresholds throw FatalError inside the analysis
  * stage, which may run on the batcher thread; an exception escaping
- * there would end the process.  So: nothing aborts, every future
- * resolves with a result, a shed or a FatalError, the daemon's counts
- * add up, every result is bit-equal to a direct service's, and every
- * request the daemon failed fails on a direct service too.
+ * there would end the process.  So: nothing aborts, every future has
+ * resolved when drain() returns, with a result, a shed or a
+ * FatalError, the daemon's counts add up, every result is bit-equal
+ * to a direct service's, and every request the daemon failed fails on
+ * a direct service too.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
@@ -239,6 +241,13 @@ TEST_F(RequestFuzz, EveryRequestResolvesAndCountsAddUp)
         for (std::thread &submitter : submitters)
             submitter.join();
         daemon.drain();
+        // drain() returns only once every admitted request is resolved.
+        for (std::size_t i = 0; i < kPerRound; ++i) {
+            ASSERT_TRUE(futures[i].valid());
+            EXPECT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+                      std::future_status::ready)
+                << "request " << i;
+        }
 
         std::size_t served = 0;
         std::size_t shed = 0;

@@ -822,42 +822,20 @@ TEST(SnapshotStore, VanishedFilesAreSkippedNeverThrown)
     EXPECT_NO_THROW(EXPECT_TRUE(store.loadAllAnalyses().empty()));
 }
 
-/**
- * @c count keys, made by @c make from 1, 2, ..., whose last two land
- * in different shards of a two-shard cache (a capacity-2 cache has
- * two shards of one entry each, picked by the key's digest).
- */
-template <typename Key, typename Make>
-std::vector<Key>
-keysEndingInTwoShards(std::size_t count, Make make)
-{
-    std::vector<Key> keys;
-    for (std::uint64_t i = 1; keys.size() < count; ++i) {
-        const Key key = make(i);
-        if (keys.size() == count - 1 &&
-            key.combined() % 2 == keys.back().combined() % 2)
-            continue;
-        keys.push_back(key);
-    }
-    return keys;
-}
-
 TEST(SnapshotStore, WarmStartLoadsOnlyTheNewestUpToCapacity)
 {
     // Five grid files and five analysis files, each kind older to
     // newer, under caches of two: the daemon reads the two newest of
     // each kind and nothing else.
     const std::string dir = freshDir("capped_warm");
-    const std::vector<svc::GridKey> grid_keys =
-        keysEndingInTwoShards<svc::GridKey>(
-            5, [](std::uint64_t i) { return gridKey(100 + i); });
-    const std::vector<svc::AnalysisKey> analysis_keys =
-        keysEndingInTwoShards<svc::AnalysisKey>(
-            5, [](std::uint64_t i) { return analysisKey(200 + i); });
+    std::vector<svc::GridKey> grid_keys;
+    std::vector<svc::AnalysisKey> analysis_keys;
     std::vector<std::string> grid_files, analysis_files;
     {
         SnapshotStore store(dir);
         for (std::size_t i = 0; i < 5; ++i) {
+            grid_keys.push_back(gridKey(101 + i));
+            analysis_keys.push_back(analysisKey(201 + i));
             ASSERT_TRUE(store.storeGrid(grid_keys[i], test::phasedGrid()));
             ASSERT_TRUE(
                 store.storeAnalysis(analysis_keys[i], sampleAnalysis()));

@@ -6,9 +6,10 @@
  * from the snapshot store, a failed snapshot write does not fail the
  * request, an invalid request fails alone and is counted as failed,
  * cached groups run on the batcher without a pool task, a later
- * batch's request for a grid being built joins that build, a build
- * task ends under steady traffic on its key, and the journal's class
- * id is the FNV-1a of the workload name.
+ * batch's request for a grid being built joins that build and is
+ * counted as coalesced once, a build task ends under steady traffic
+ * on its key, and the journal's class id is the FNV-1a of the
+ * workload name.
  */
 
 #include <gtest/gtest.h>
@@ -427,6 +428,30 @@ TEST(TuningDaemon, LaterBatchesJoinAGridBeingBuilt)
     EXPECT_EQ(daemon.store()->stats().gridStores, 1u);
     EXPECT_EQ(daemon.store()->stats().analysisStores, 1u);
     fs::remove_all(dir);
+}
+
+TEST(TuningDaemon, CountsEachCoalescedRequestOnce)
+{
+    // One cold request, then 63 identical ones while its grid builds:
+    // the later batches' groups join that build, or, once it is done,
+    // their leads hit the cache.  Either way a request is coalesced at
+    // most once, and the first one never is.
+    DaemonOptions options;
+    options.service.jobs = 1;
+    TuningDaemon daemon(fastConfig(), options);
+    std::vector<std::future<DaemonResponse>> futures;
+    futures.push_back(daemon.submit(tinyRequest()));
+    while (daemon.queueDepth() != 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    for (std::size_t i = 1; i < 64; ++i)
+        futures.push_back(daemon.submit(tinyRequest()));
+    daemon.drain();
+
+    for (std::future<DaemonResponse> &future : futures)
+        ASSERT_TRUE(future.get().ok());
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.admitted, 64u);
+    EXPECT_LE(stats.coalesced, stats.admitted - 1);
 }
 
 TEST(TuningDaemon, BuildTaskEndsUnderSteadyTrafficOnItsKey)

@@ -11,14 +11,11 @@
 
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "daemon/tuning_daemon.hh"
@@ -186,53 +183,6 @@ TEST(ObsInstrumentation, ServiceRequestBatchAndBuildCounters)
     EXPECT_EQ(counterValue("svc.cache.hits"), hits0 + 3);
     EXPECT_EQ(histogramCount("svc.service.submit_ns"), submits0 + 4);
     EXPECT_EQ(histogramCount("svc.service.build_ns"), buildNs0 + 1);
-    EXPECT_EQ(gaugeValue("svc.service.inflight_builds"), 0);
-}
-
-TEST(ObsInstrumentation, ServiceCoalescesConcurrentIdenticalBuilds)
-{
-    REQUIRE_METRICS_ON();
-    const std::uint64_t builds0 =
-        counterValue("svc.service.grid_builds");
-    const std::uint64_t hits0 = counterValue("svc.cache.hits");
-    const std::uint64_t coalesced0 =
-        counterValue("svc.service.coalesced_waits");
-
-    svc::CharacterizationService service(test::fastSystemConfig(),
-                                         svc::ServiceOptions{4, 32, 8});
-    constexpr std::size_t kThreads = 8;
-    std::mutex mutex;
-    std::condition_variable gate;
-    std::size_t arrived = 0;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (std::size_t t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            {
-                // Barrier: maximize the chance of concurrent lookups.
-                std::unique_lock<std::mutex> lock(mutex);
-                if (++arrived == kThreads)
-                    gate.notify_all();
-                else
-                    gate.wait(lock,
-                              [&] { return arrived == kThreads; });
-            }
-            EXPECT_NE(service.grid(test::steadyWorkload(),
-                                   SettingsSpace::coarse()),
-                      nullptr);
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-
-    // Exactly one build; the other seven either hit the cache (build
-    // already inserted) or coalesced onto the in-flight future.
-    EXPECT_EQ(counterValue("svc.service.grid_builds"), builds0 + 1);
-    EXPECT_EQ((counterValue("svc.cache.hits") - hits0) +
-                  (counterValue("svc.service.coalesced_waits") -
-                   coalesced0),
-              kThreads - 1);
-    EXPECT_EQ(gaugeValue("svc.service.inflight_builds"), 0);
 }
 
 TEST(ObsInstrumentation, GridRunnerBuildAndCellCounters)

@@ -157,12 +157,9 @@ TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
 {
     // N client threads push identical batches (two workloads, two
     // budgets each) through one service, one submit() per request, so
-    // the cache sees exactly (threads * rounds * 4) lookups;
-    // everything beyond the first build of each workload must be a
-    // hit or a coalesced wait, and the cache never exceeds its
-    // capacity.  Each batch is ordered by workload: at capacity 4 the
-    // two grids may share a one-entry shard, and alternating between
-    // them would evict on every lookup.
+    // the cache sees exactly (threads * rounds * 4) lookups, each a
+    // hit or a miss that builds (concurrent misses of one workload
+    // each build), and the cache never exceeds its capacity.
     constexpr std::size_t kThreads = 4;
     constexpr std::size_t kRounds = 3;
     svc::CharacterizationService service(test::fastSystemConfig(),
@@ -199,9 +196,6 @@ TEST(GridCacheProperty, ConcurrentSubmitBatchKeepsServiceAccounting)
     const svc::GridCache::Stats stats = service.cacheStats();
     EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds * 4);
     EXPECT_LE(stats.entries, 4u);
-    // Two workloads were ever built; with coalescing the number of
-    // misses is at most the number of builds that actually ran, and
-    // at least one per distinct workload.
     EXPECT_GE(stats.misses, 2u);
     EXPECT_GE(stats.hits, 1u);
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * CharacterizationService tests: tuning results, cache reuse across
- * submits, batch deduplication through the daemon, parallel/serial
- * equivalence, and every analysis path pinned to the scalar reference.
+ * submits, caches that hold their full capacity, batch deduplication
+ * through the daemon, parallel/serial equivalence, and every analysis
+ * path pinned to the scalar reference.
  */
 
 #include <bit>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "core/reference_analysis.hh"
 #include "daemon/tuning_daemon.hh"
 #include "svc/characterization_service.hh"
@@ -111,6 +113,42 @@ TEST(CharacterizationService, DistinctConfigsDoNotShareGrids)
     EXPECT_NE(a.grid->cell(0, 0).seconds, b.grid->cell(0, 0).seconds);
 }
 
+TEST(CharacterizationService, CachesHoldTheirCapacity)
+{
+    // As many distinct keys as each cache holds, drawn from a fixed
+    // seed: every one stays resident, however the keys hash.
+    const svc::ServiceOptions options;
+    svc::CharacterizationService service(fastConfig(), options);
+    GridRunner runner(fastConfig());
+    const auto grid = std::make_shared<const MeasuredGrid>(
+        runner.run(tinyWorkload(), SettingsSpace::coarse()));
+    const auto analysis = std::make_shared<const svc::AnalysisResult>();
+    Rng rng(0x5eed'cafeull);
+    std::vector<svc::GridKey> grid_keys;
+    for (std::size_t i = 0; i < options.cacheCapacity; ++i) {
+        grid_keys.push_back(svc::GridKey{rng.next(), rng.next(), rng.next()});
+        service.primeGrid(grid_keys.back(), grid);
+    }
+    const svc::TuningRequest request = tinyRequest();
+    std::vector<svc::AnalysisKey> analysis_keys;
+    for (std::size_t i = 0; i < options.analysisCapacity; ++i) {
+        analysis_keys.push_back(
+            svc::AnalysisKey{rng.next(), request.budget, request.threshold});
+        service.primeAnalysis(analysis_keys.back(), analysis);
+    }
+
+    EXPECT_EQ(service.cacheStats().entries, options.cacheCapacity);
+    EXPECT_EQ(service.analysisStats().entries, options.analysisCapacity);
+    for (const svc::GridKey &key : grid_keys)
+        EXPECT_NE(service.findGrid(key), nullptr);
+    for (const svc::AnalysisKey &key : analysis_keys) {
+        EXPECT_TRUE(
+            service.analyze(request, key.grid, grid, true).analysisCacheHit);
+    }
+    EXPECT_EQ(service.cacheStats().evictions, 0u);
+    EXPECT_EQ(service.analysisStats().evictions, 0u);
+}
+
 TEST(CharacterizationService, BatchDeduplicatesIdenticalCharacterizations)
 {
     daemon::DaemonOptions options;
@@ -136,7 +174,8 @@ TEST(CharacterizationService, BatchDeduplicatesIdenticalCharacterizations)
 
     // Three requests share one characterization; only two grids were
     // ever built.  (How many lookups miss depends on how the batcher
-    // splits the four requests: a coalesced wait counts as a miss.)
+    // splits the four requests: a group that joins a build probes
+    // nothing.)
     EXPECT_EQ(results[0].grid.get(), results[1].grid.get());
     EXPECT_EQ(results[0].grid.get(), results[3].grid.get());
     EXPECT_NE(results[0].grid.get(), results[2].grid.get());
