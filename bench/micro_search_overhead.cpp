@@ -11,14 +11,16 @@
  * 496-setting spaces — plus the per-sample characterization and
  * whole-grid construction costs that bound offline profiling, with
  * the characterization of a profile-cache miss also split by layer
- * (generation, cache hierarchy, DRAM, reset).
+ * (generation, cache hierarchy, DRAM, reset), each timed on the path a
+ * miss takes: the grouped generator call, then the hierarchy with its
+ * DRAM sink.
  *
  * The metrics snapshot is written next to MCDVFS_BENCH_OUT (default
  * BENCH_search.json) as a .metrics.json sidecar, so counter deltas
  * travel with the timing numbers.  A --benchmark_filter='70|Canonical|Layer'
  * run doubles as the tier-1 "perf_smoke" ctest without ever building
  * the fine grid (fixtures are lazy per space), and runs
- * BM_LayerGenerate's check that block generation reproduces next().
+ * BM_LayerGenerate's check that grouped generation reproduces next().
  */
 
 #include <benchmark/benchmark.h>
@@ -251,12 +253,11 @@ struct LayerStreams
                         continue;
                     const bool is_write = rec.kind == InstrKind::Store;
                     refs[s].push_back({rec.addr, is_write});
-                    const HierarchyOutcome outcome =
-                        hierarchy.access(rec.addr, is_write);
-                    for (std::uint8_t d = 0; d < outcome.dramCount; ++d) {
-                        dram[s].push_back({outcome.dram[d].addr,
-                                           outcome.dram[d].isWrite});
-                    }
+                    hierarchy.access(rec.addr, is_write,
+                                     [this, s](const DramRequest &req) {
+                                         dram[s].push_back(
+                                             {req.addr, req.isWrite});
+                                     });
                 }
             }
         }
@@ -264,26 +265,36 @@ struct LayerStreams
 };
 
 /**
- * Fatal unless the block calls the simulator loop makes reproduce
- * the memory references next() recorded for every sample.
+ * One grouped call over sample @c s's three streams, as pass 1 of a
+ * miss decodes them, into @c out.
  */
 void
-checkBlockCalls(const LayerStreams &streams)
+decodeSample(const LayerStreams &streams, std::size_t s,
+             std::vector<MemoryRef> (&out)[3])
 {
-    constexpr Count kChunk = SampleSimulator::kChunkInstructions;
-    std::vector<MemoryRef> chunk;
+    std::vector<TraceGenerator> gens;
+    gens.reserve(3);
+    for (std::size_t k = 3 * s; k < 3 * s + 3; ++k)
+        gens.emplace_back(streams.streams[k].first, streams.streams[k].second);
+    TraceGenerator::Lane lanes[3];
+    for (std::size_t k = 0; k < 3; ++k)
+        lanes[k] = {&gens[k], LayerStreams::kStream, &out[k]};
+    TraceGenerator::nextMemoryRefs(lanes);
+}
+
+/**
+ * Fatal unless the grouped calls a miss makes reproduce the memory
+ * references next() recorded for every sample.
+ */
+void
+checkGroupedCalls(const LayerStreams &streams)
+{
+    std::vector<MemoryRef> out[3];
     for (std::size_t s = 0; s < LayerStreams::kSamples; ++s) {
+        decodeSample(streams, s, out);
         std::vector<MemoryRef> sample;
-        for (std::size_t k = 3 * s; k < 3 * s + 3; ++k) {
-            TraceGenerator gen(streams.streams[k].first,
-                               streams.streams[k].second);
-            for (Count done = 0; done < LayerStreams::kStream;
-                 done += kChunk) {
-                gen.nextMemoryRefs(
-                    std::min(kChunk, LayerStreams::kStream - done), chunk);
-                sample.insert(sample.end(), chunk.begin(), chunk.end());
-            }
-        }
+        for (const std::vector<MemoryRef> &stream : out)
+            sample.insert(sample.end(), stream.begin(), stream.end());
         const std::vector<MemoryRef> &want = streams.refs[s];
         if (!std::equal(sample.begin(), sample.end(), want.begin(),
                         want.end(),
@@ -291,7 +302,7 @@ checkBlockCalls(const LayerStreams &streams)
                             return a.addr == b.addr &&
                                    a.isWrite == b.isWrite;
                         })) {
-            fatal("micro_search_overhead: block generation of sample ",
+            fatal("micro_search_overhead: grouped generation of sample ",
                   s, " of ", streams.streams[3 * s].first.name,
                   " diverges from next()");
         }
@@ -299,27 +310,20 @@ checkBlockCalls(const LayerStreams &streams)
 }
 
 /**
- * Instruction generation alone, by the block calls the simulator loop
- * makes; items are instructions.
+ * Instruction generation alone: per sample, one grouped call over its
+ * three streams, as a miss makes it; items are instructions.
  */
 void
 BM_LayerGenerate(benchmark::State &state, const char *name)
 {
-    constexpr Count kChunk = SampleSimulator::kChunkInstructions;
     const LayerStreams &streams = LayerStreams::of(name);
-    checkBlockCalls(streams);
-    std::vector<MemoryRef> chunk;
-    chunk.reserve(kChunk);
+    checkGroupedCalls(streams);
+    std::vector<MemoryRef> out[3];
     for (auto _ : state) {
-        for (const auto &[phase, seed] : streams.streams) {
-            TraceGenerator gen(phase, seed);
-            for (Count done = 0; done < LayerStreams::kStream;
-                 done += kChunk) {
-                benchmark::DoNotOptimize(gen.nextMemoryRefs(
-                    std::min(kChunk, LayerStreams::kStream - done), chunk));
-                benchmark::DoNotOptimize(chunk.data());
-                benchmark::ClobberMemory();
-            }
+        for (std::size_t s = 0; s < LayerStreams::kSamples; ++s) {
+            decodeSample(streams, s, out);
+            benchmark::DoNotOptimize(out[0].data());
+            benchmark::ClobberMemory();
         }
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(
@@ -331,8 +335,8 @@ BENCHMARK_CAPTURE(BM_LayerGenerate, milc, "milc");
 BENCHMARK_CAPTURE(BM_LayerGenerate, mcf, "mcf");
 
 /**
- * The L1/L2 hierarchy alone, from a reset per sample (untimed); items
- * are memory references.
+ * The L1/L2 hierarchy alone, handing each DRAM transaction to a sink,
+ * from a reset per sample (untimed); items are memory references.
  */
 void
 BM_LayerHierarchy(benchmark::State &state, const char *name)
@@ -345,10 +349,14 @@ BM_LayerHierarchy(benchmark::State &state, const char *name)
             state.PauseTiming();
             hierarchy.reset();
             state.ResumeTiming();
+            Count requests = 0;
             for (const MemoryRef &ref : refs) {
-                benchmark::DoNotOptimize(
-                    hierarchy.access(ref.addr, ref.isWrite));
+                hierarchy.access(ref.addr, ref.isWrite,
+                                 [&requests](const DramRequest &req) {
+                                     requests += req.addr != 0;
+                                 });
             }
+            benchmark::DoNotOptimize(requests);
             items += static_cast<std::int64_t>(refs.size());
         }
     }

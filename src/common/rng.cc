@@ -1,5 +1,6 @@
 #include "common/rng.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -48,6 +49,61 @@ Rng::fill(std::uint64_t *out, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         out[i] = local.next();
     *this = local;
+}
+
+void
+Rng::fill(std::span<Rng *const> gens, std::span<std::uint64_t *const> outs,
+          std::size_t n)
+{
+    MCDVFS_ASSERT(outs.size() == gens.size(),
+                  "grouped fill needs one output per generator");
+    // One state word of kLanes generators; these stay locals (a
+    // vector argument or return value would change the ABI between
+    // builds with and without AVX).
+    using Lanes = std::uint64_t
+        __attribute__((vector_size(kLanes * sizeof(std::uint64_t))));
+    for (std::size_t first = 0; first < gens.size();) {
+        const std::size_t lanes = std::min(kLanes, gens.size() - first);
+        if (lanes == 1) {
+            gens[first]->fill(outs[first], n);
+            return;
+        }
+        // A lane past the last generator repeats it: equal draws, so
+        // its stores write the same values to the same place.
+        std::uint64_t *out[kLanes];
+        Lanes s0, s1, s2, s3;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            const std::size_t g = first + std::min(l, lanes - 1);
+            out[l] = outs[g];
+            s0[l] = gens[g]->state_[0];
+            s1[l] = gens[g]->state_[1];
+            s2[l] = gens[g]->state_[2];
+            s3[l] = gens[g]->state_[3];
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            // next(), lane by lane; * 5 and * 9 as shifts and adds.
+            const Lanes m = (s1 << 2) + s1;
+            const Lanes r = (m << 7) | (m >> 57);
+            const Lanes result = (r << 3) + r;
+            const Lanes t = s1 << 17;
+            s2 ^= s0;
+            s3 ^= s1;
+            s1 ^= s2;
+            s0 ^= s3;
+            s2 ^= t;
+            s3 = (s3 << 45) | (s3 >> 19);
+            for (std::size_t l = 0; l < kLanes; ++l)
+                out[l][i] = result[l];
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+            Rng &gen = *gens[first + l];
+            gen.state_[0] = s0[l];
+            gen.state_[1] = s1[l];
+            gen.state_[2] = s2[l];
+            gen.state_[3] = s3[l];
+        }
+        first += lanes;
+    }
 }
 
 std::uint64_t

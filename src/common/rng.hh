@@ -7,9 +7,10 @@
  * are implementation-defined).  Rng implements xoshiro256** seeded via
  * SplitMix64, with distribution helpers defined by this library.
  *
- * The trace generator reads its draws in blocks (fill()) and decodes
- * them with the rules of uniform53Threshold() and Bound, so the
- * per-draw rules are defined here, once.
+ * The trace generator reads its draws in blocks (fill(), or the
+ * grouped fill() for several generators at once) and decodes them
+ * with the rules of uniform53Threshold() and Bound, so the per-draw
+ * rules are defined here, once.
  */
 
 #ifndef MCDVFS_COMMON_RNG_HH
@@ -17,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace mcdvfs
 {
@@ -78,6 +80,19 @@ class Rng
      * reload after every draw).
      */
     void fill(std::uint64_t *out, std::size_t n);
+
+    /** Generators one vector step of the grouped fill() advances. */
+    static constexpr std::size_t kLanes = 4;
+
+    /**
+     * fill() for several generators at once: write the next @c n draws
+     * of *gens[i] to outs[i], for every i, each the same sequence as
+     * gens[i]->fill(outs[i], n).  The generators step together, kLanes
+     * to a vector (GCC vector extensions), a lone last one alone.  The
+     * generators must be distinct; @c outs has one entry per generator.
+     */
+    static void fill(std::span<Rng *const> gens,
+                     std::span<std::uint64_t *const> outs, std::size_t n);
 
     /**
      * The 53 high bits of one draw: uniform() is exactly

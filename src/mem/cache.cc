@@ -55,39 +55,37 @@ Cache::Cache(const CacheConfig &config)
     tags_.assign(sets * ways_, kInvalidTag);
     lastUse_.assign(sets * ways_, 0);
     dirty_.assign(sets * ways_, 0);
+    filled_.assign(sets, 0);
 }
 
 void
 Cache::reset()
 {
-    // Only the tags: the LRU time and dirty bit of an invalid way are
-    // never read, and insert() writes both.
+    // Only the tags and fill counts: the LRU time and dirty bit of an
+    // invalid way are never read, and insert() writes both.
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(filled_.begin(), filled_.end(), 0);
     useClock_ = 0;
     stats_ = CacheStats{};
 }
 
 CacheAccessResult
-Cache::insert(const Location &loc, bool dirty)
+Cache::evict(const Location &loc, bool dirty)
 {
-    // Valid ways carry distinct times >= 1; an invalid one counts as
-    // time 0, so the first minimum is the first invalid way if there
-    // is one and the least recently used way otherwise.
-    const std::uint64_t *tags = tags_.data() + loc.base;
+    // Every way is valid, with a distinct time: the minimum is the
+    // least recently used way.
     const std::uint64_t *last_use = lastUse_.data() + loc.base;
     std::uint32_t victim = 0;
-    std::uint64_t oldest = ~0ull;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const std::uint64_t used =
-            tags[w] == kInvalidTag ? 0 : last_use[w];
-        const bool older = used < oldest;
-        oldest = older ? used : oldest;
+    std::uint64_t oldest = last_use[0];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        const bool older = last_use[w] < oldest;
+        oldest = older ? last_use[w] : oldest;
         victim = older ? w : victim;
     }
 
     CacheAccessResult result;
     const std::uint64_t slot = loc.base + victim;
-    if (tags_[slot] != kInvalidTag && dirty_[slot]) {
+    if (dirty_[slot]) {
         result.writeback = true;
         result.writebackAddr = ((tags_[slot] << setShift_) | loc.set)
                                << lineShift_;

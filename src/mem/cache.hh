@@ -75,8 +75,12 @@ struct CacheStats
  * Ways are stored structure-of-arrays (tags, LRU timestamps, dirty
  * bits), so one set's tags are contiguous, and on the paper's 4- and
  * 16-way levels a lookup compares them all without a data-dependent
- * branch.  The access path runs once or twice per simulated memory
- * reference and is defined in this header.
+ * branch.  A set's valid ways are always a prefix of it: a miss fills
+ * the first invalid way, and only reset() invalidates.  So a per-set
+ * fill count names the victim while the set has room, with no scan,
+ * and only a full set looks for its least recently used way.  The
+ * access path runs once or twice per simulated memory reference and
+ * is defined in this header.
  */
 class Cache
 {
@@ -214,10 +218,25 @@ class Cache
     }
 
     /**
-     * Insert the line at @c loc, evicting the first invalid way or else
-     * the least recently used one; returns any dirty eviction.
+     * Insert the line at @c loc into the set's next invalid way, or
+     * else in place of its least recently used way; returns any dirty
+     * eviction.
      */
-    CacheAccessResult insert(const Location &loc, bool dirty);
+    CacheAccessResult
+    insert(const Location &loc, bool dirty)
+    {
+        std::uint32_t &filled = filled_[loc.set];
+        if (filled == ways_)
+            return evict(loc, dirty);
+        const std::uint64_t slot = loc.base + filled++;
+        tags_[slot] = loc.tag;
+        dirty_[slot] = dirty;
+        lastUse_[slot] = ++useClock_;
+        return {};
+    }
+
+    /** insert() into a full set: replace its least recently used way. */
+    CacheAccessResult evict(const Location &loc, bool dirty);
 
     CacheConfig config_;
     std::uint32_t ways_;
@@ -230,6 +249,8 @@ class Cache
     std::vector<std::uint64_t> lastUse_;  ///< LRU timestamp if valid
     std::vector<std::uint8_t> dirty_;     ///< meaningful if valid
     ///@}
+    /** Per set: its valid ways, which are ways [0, filled). */
+    std::vector<std::uint32_t> filled_;
     std::uint64_t useClock_ = 0;
     CacheStats stats_;
 };

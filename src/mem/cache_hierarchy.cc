@@ -29,21 +29,20 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &config)
 {
 }
 
-void
-CacheHierarchy::prefetchNextLine(std::uint64_t addr,
-                                 HierarchyOutcome &outcome)
+CacheHierarchy::Prefetch
+CacheHierarchy::prefetchNextLine(std::uint64_t addr)
 {
     // Prefetch fills consume bandwidth and read energy but are not
     // demand-latency exposed.  Line sizes are powers of two.
     const std::uint64_t line = l2_.config().lineBytes;
-    const std::uint64_t next = (addr & ~(line - 1)) + line;
-    if (!l2_.probe(next)) {
-        const CacheAccessResult pf = l2_.fill(next, /*dirty=*/false);
-        if (pf.writeback)
-            outcome.addDram(pf.writebackAddr, /*is_write=*/true);
-        outcome.addDram(next, /*is_write=*/false, /*is_prefetch=*/true);
+    Prefetch pf;
+    pf.line = (addr & ~(line - 1)) + line;
+    if (!l2_.probe(pf.line)) {
+        pf.victim = l2_.fill(pf.line, /*dirty=*/false);
+        pf.issued = true;
         ++prefetches_;
     }
+    return pf;
 }
 
 void

@@ -15,9 +15,9 @@ namespace
 {
 
 /**
- * Process-wide characterization work counters, added once per run of
- * the simulator loop (a sample or a warm-up chunk), beside
- * sim.grid.characterize_ns.
+ * Process-wide characterization work counters, added once per
+ * simulated stream (a sample, a warm-up chunk or a recorded trace),
+ * beside sim.grid.characterize_ns.
  */
 struct SimMetrics
 {
@@ -74,48 +74,95 @@ SampleSimulator::SampleSimulator(const SampleSimulatorConfig &config)
 {
     if (config_.simInstructionsPerSample == 0)
         fatal("sample simulator: simInstructionsPerSample must be > 0");
-    refs_.reserve(kChunkInstructions);
 }
 
-SampleSimulator::RunCounts
-SampleSimulator::simulate(TraceSource &source, Count instructions)
+void
+SampleSimulator::countWork(Count instructions, Count memory_refs)
 {
-    hierarchy_.clearStats();
-    dram_.clearStats();
-
-    RunCounts counts;
-    Count memory_refs = 0;
-    for (Count done = 0; done < instructions;) {
-        const Count chunk = std::min(kChunkInstructions, instructions - done);
-        counts.gpuKicks += source.nextMemoryRefs(chunk, refs_);
-        memory_refs += refs_.size();
-        for (const MemoryRef &ref : refs_) {
-            const HierarchyOutcome outcome =
-                hierarchy_.access(ref.addr, ref.isWrite);
-            for (std::uint8_t d = 0; d < outcome.dramCount; ++d) {
-                const DramRequest &req = outcome.dram[d];
-                dram_.access(req.addr, req.isWrite);
-                if (req.isWrite)
-                    ++counts.dramWrites;
-                else if (req.isPrefetch)
-                    ++counts.dramPrefetch;
-                else
-                    ++counts.dramReads;
-            }
-        }
-        done += chunk;
-    }
     simMetrics().instructions.add(instructions);
     simMetrics().memoryRefs.add(memory_refs);
-    return counts;
+}
+
+void
+SampleSimulator::simulate(std::span<const MemoryRef> refs, RunCounts &counts)
+{
+    Count reads = 0;
+    Count writes = 0;
+    Count prefetches = 0;
+    for (const MemoryRef &ref : refs) {
+        hierarchy_.access(ref.addr, ref.isWrite,
+                          [&](const DramRequest &req) {
+                              dram_.access(req.addr, req.isWrite);
+                              writes += req.isWrite;
+                              prefetches += !req.isWrite && req.isPrefetch;
+                              reads += !req.isWrite && !req.isPrefetch;
+                          });
+    }
+    counts.dramReads += reads;
+    counts.dramWrites += writes;
+    counts.dramPrefetch += prefetches;
+}
+
+void
+SampleSimulator::runStreams(std::span<const Stream> streams,
+                            std::vector<SampleProfile> &profiles)
+{
+    std::vector<TraceGenerator> gens;
+    std::vector<TraceGenerator::Lane> lanes;
+    std::vector<RunCounts> counts;
+    for (std::size_t first = 0; first < streams.size();) {
+        std::size_t end = first + 1;
+        Count total = streams[first].instructions;
+        while (end < streams.size() &&
+               total + streams[end].instructions <= kGroupInstructions)
+            total += streams[end++].instructions;
+        const std::span<const Stream> group =
+            streams.subspan(first, end - first);
+        first = end;
+
+        gens.clear();
+        gens.reserve(group.size());
+        for (const Stream &stream : group)
+            gens.emplace_back(*stream.spec, stream.seed);
+        if (refs_.size() < group.size())
+            refs_.resize(group.size());
+        lanes.resize(group.size());
+        counts.assign(group.size(), {});
+
+        // Every stream of a group of several fits in one pass 1; a
+        // lone longer stream takes kGroupInstructions per pass.
+        Count done = 0;
+        do {
+            for (std::size_t i = 0; i < group.size(); ++i) {
+                lanes[i] = {&gens[i],
+                            std::min(kGroupInstructions,
+                                     group[i].instructions - done),
+                            &refs_[i]};
+            }
+            TraceGenerator::nextMemoryRefs(lanes);
+            for (std::size_t i = 0; i < group.size(); ++i) {
+                if (done == 0) {
+                    hierarchy_.clearStats();
+                    dram_.clearStats();
+                }
+                simulate(refs_[i], counts[i]);
+                counts[i].gpuKicks += lanes[i].gpuKicks;
+                countWork(lanes[i].instructions, refs_[i].size());
+                if (group[i].measured &&
+                    done + lanes[i].instructions == group[i].instructions) {
+                    profiles.push_back(profile(
+                        counts[i], group[i].instructions, *group[i].spec));
+                }
+            }
+            done += kGroupInstructions;
+        } while (done < total);
+    }
 }
 
 SampleProfile
-SampleSimulator::profileFromSource(TraceSource &source, Count instructions,
-                                   const PhaseSpec &spec)
+SampleSimulator::profile(const RunCounts &counts, Count instructions,
+                         const PhaseSpec &spec) const
 {
-    const RunCounts counts = simulate(source, instructions);
-
     const auto &l1 = hierarchy_.l1().stats();
     const auto &dram_stats = dram_.stats();
     const double n = static_cast<double>(instructions);
@@ -152,22 +199,6 @@ SampleSimulator::profileFromSource(TraceSource &source, Count instructions,
 }
 
 SampleProfile
-SampleSimulator::runSample(const PhaseSpec &spec, std::uint64_t seed,
-                           Count instructions)
-{
-    TraceGenerator gen(spec, seed);
-    return profileFromSource(gen, instructions, spec);
-}
-
-void
-SampleSimulator::warm(const PhaseSpec &spec, std::uint64_t seed,
-                      Count instructions)
-{
-    TraceGenerator gen(spec, seed);
-    simulate(gen, instructions);
-}
-
-SampleProfile
 SampleSimulator::characterizeCanonical(const PhaseSpec &spec,
                                        std::uint64_t seed,
                                        Count instructions)
@@ -176,17 +207,20 @@ SampleSimulator::characterizeCanonical(const PhaseSpec &spec,
     dram_.reset();
     // Deterministic per-phase warmup: same chunking and stream-seed
     // derivation as the sequential warmup, but over this phase alone,
-    // so the measurement below depends on nothing but the arguments.
+    // so the measurement after it depends on nothing but the arguments.
+    std::vector<Stream> streams;
     Count remaining = config_.profileWarmupInstructions;
-    std::size_t w = 0;
-    while (remaining > 0) {
+    for (std::size_t w = 0; remaining > 0; ++w) {
         const Count chunk = std::min(remaining, instructions);
-        warm(spec, seed ^ (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
-             chunk);
+        streams.push_back(
+            {&spec, seed ^ (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
+             chunk, false});
         remaining -= chunk;
-        ++w;
     }
-    return runSample(spec, seed, instructions);
+    streams.push_back({&spec, seed, instructions, true});
+    std::vector<SampleProfile> profiles;
+    runStreams(streams, profiles);
+    return std::move(profiles.front());
 }
 
 std::vector<SampleProfile>
@@ -230,29 +264,29 @@ SampleSimulator::characterizeSequential(const WorkloadProfile &workload)
     // without recording, so sample 0 is measured at steady state.
     const std::size_t warm_span =
         std::min<std::size_t>(8, workload.sampleCount());
+    std::vector<Stream> streams;
     Count remaining = config_.warmupInstructions;
-    std::size_t w = 0;
-    while (remaining > 0) {
+    for (std::size_t w = 0; remaining > 0; ++w) {
         const Count chunk =
             std::min(remaining, config_.simInstructionsPerSample);
         // Each warmup chunk gets a fresh stream seed: replaying the
         // same few streams would re-touch the same addresses and
         // leave large working sets cold.
-        warm(workload.phaseFor(w % warm_span),
+        streams.push_back(
+            {&workload.phaseFor(w % warm_span),
              workload.traceSeedFor(w % warm_span) ^
                  (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull),
-             chunk);
+             chunk, false});
         remaining -= chunk;
-        ++w;
+    }
+    for (std::size_t s = 0; s < workload.sampleCount(); ++s) {
+        streams.push_back({&workload.phaseFor(s), workload.traceSeedFor(s),
+                           config_.simInstructionsPerSample, true});
     }
 
     std::vector<SampleProfile> profiles;
     profiles.reserve(workload.sampleCount());
-    for (std::size_t s = 0; s < workload.sampleCount(); ++s) {
-        profiles.push_back(runSample(workload.phaseFor(s),
-                                     workload.traceSeedFor(s),
-                                     config_.simInstructionsPerSample));
-    }
+    runStreams(streams, profiles);
     return profiles;
 }
 
@@ -262,7 +296,10 @@ SampleSimulator::characterizeOne(const PhaseSpec &spec, std::uint64_t seed,
 {
     hierarchy_.reset();
     dram_.reset();
-    return runSample(spec, seed, instructions);
+    const Stream stream{&spec, seed, instructions, true};
+    std::vector<SampleProfile> profiles;
+    runStreams({&stream, 1}, profiles);
+    return std::move(profiles.front());
 }
 
 SampleProfile
@@ -272,7 +309,20 @@ SampleSimulator::characterizeTrace(TraceSource &source,
 {
     hierarchy_.reset();
     dram_.reset();
-    return profileFromSource(source, instructions, meta);
+    if (refs_.empty())
+        refs_.resize(1);
+    std::vector<MemoryRef> &chunk = refs_.front();
+    RunCounts counts;
+    Count memory_refs = 0;
+    for (Count done = 0; done < instructions;) {
+        const Count n = std::min(kChunkInstructions, instructions - done);
+        counts.gpuKicks += source.nextMemoryRefs(n, chunk);
+        simulate(chunk, counts);
+        memory_refs += chunk.size();
+        done += n;
+    }
+    countWork(instructions, memory_refs);
+    return profile(counts, instructions, meta);
 }
 
 } // namespace mcdvfs

@@ -10,16 +10,20 @@
  * state persist across samples (warm), only the counters reset, as in
  * the paper's continuous gem5 runs.
  *
- * One loop (simulate()) serves every source, warm-ups included: it
- * takes a chunk's memory references and GPU-kick count from
- * TraceSource::nextMemoryRefs(), then runs the hierarchy and the banks
- * over the chunk.  The generator skips non-memory instructions without
- * decoding them, and a recorded trace replays through next().
+ * A characterization runs its generated streams (warm-ups, then the
+ * measured sample) in two passes.  Pass 1 decodes the streams'
+ * memory references together, one buffer per stream, with
+ * TraceGenerator's grouped nextMemoryRefs(); pass 2 walks each buffer
+ * in order through simulate(), the one loop over a span of
+ * references, which hands each DRAM transaction from the hierarchy
+ * straight to the bank model.  A recorded trace feeds simulate() a
+ * chunk at a time through TraceSource::nextMemoryRefs().
  */
 
 #ifndef MCDVFS_SIM_SAMPLE_SIMULATOR_HH
 #define MCDVFS_SIM_SAMPLE_SIMULATOR_HH
 
+#include <span>
 #include <vector>
 
 #include "common/units.hh"
@@ -88,12 +92,20 @@ class SampleSimulator
     };
 
     /**
-     * Instructions the simulator loop asks its source for at a time;
+     * Instructions characterizeTrace() asks its source for at a time;
      * a chunk's memory references (at most 32 KiB) stay in the host's
      * caches between the source writing them and the hierarchy
      * reading them.
      */
     static constexpr Count kChunkInstructions = 2048;
+
+    /**
+     * Instructions pass 1 decodes at most at once, over consecutive
+     * streams: a paper-sampler miss (four 50k warm-ups and a 50k
+     * sample) fits, and the buffers stay within a few MiB.  A longer
+     * stream is decoded alone, this many at a time.
+     */
+    static constexpr Count kGroupInstructions = Count{1} << 18;
 
     /** @throws FatalError on invalid configuration. */
     explicit SampleSimulator(const SampleSimulatorConfig &config = {});
@@ -140,9 +152,24 @@ class SampleSimulator
     }
 
   private:
-    /** Run @c instructions of @c spec through the warm hierarchy. */
-    SampleProfile runSample(const PhaseSpec &spec, std::uint64_t seed,
-                            Count instructions);
+    /** One generated instruction stream a characterization runs. */
+    struct Stream
+    {
+        const PhaseSpec *spec;
+        std::uint64_t seed;
+        Count instructions;
+        /** A sample to profile, not a warm-up. */
+        bool measured;
+    };
+
+    /**
+     * Run @c streams through the warm hierarchy and banks in order,
+     * appending the profile of each measured one to @c profiles.  Each
+     * group of consecutive streams that fits kGroupInstructions takes
+     * the two passes: decode them all, then simulate each.
+     */
+    void runStreams(std::span<const Stream> streams,
+                    std::vector<SampleProfile> &profiles);
 
     /**
      * Reset, run the canonical warmup for @c spec, then measure: the
@@ -156,7 +183,7 @@ class SampleSimulator
     std::vector<SampleProfile> characterizeSequential(
         const WorkloadProfile &workload);
 
-    /** What one run of the simulator loop counted. */
+    /** What one stream counted since the counters were cleared. */
     struct RunCounts
     {
         Count dramReads = 0;
@@ -166,20 +193,21 @@ class SampleSimulator
     };
 
     /**
-     * The one simulator loop: clear the counters, then push the next
-     * @c instructions of @c source through the hierarchy and the DRAM
-     * banks, kChunkInstructions at a time.
+     * The one simulator loop: push @c refs through the hierarchy, and
+     * each DRAM transaction it generates through the banks, adding to
+     * @c counts.
      */
-    RunCounts simulate(TraceSource &source, Count instructions);
+    void simulate(std::span<const MemoryRef> refs, RunCounts &counts);
 
-    /** simulate(), then the rates it measured as a SampleProfile. */
-    SampleProfile profileFromSource(TraceSource &source,
-                                    Count instructions,
-                                    const PhaseSpec &meta);
+    /**
+     * The rates measured over @c instructions since the counters were
+     * last cleared, as a SampleProfile of @c spec.
+     */
+    SampleProfile profile(const RunCounts &counts, Count instructions,
+                          const PhaseSpec &spec) const;
 
-    /** Run @c instructions of @c spec unrecorded, to warm the state. */
-    void warm(const PhaseSpec &spec, std::uint64_t seed,
-              Count instructions);
+    /** Add one run's work to the sim.characterize.* counters. */
+    static void countWork(Count instructions, Count memory_refs);
 
     SampleSimulatorConfig config_;
     CacheHierarchy hierarchy_;
@@ -189,8 +217,8 @@ class SampleSimulator
     /** Precomputed config().profileFingerprint(). */
     std::uint64_t configKey_ = 0;
     CharacterizeStats lastStats_;
-    /** One chunk's memory references, reused by every run. */
-    std::vector<MemoryRef> refs_;
+    /** Per stream of a group, its memory references; reused. */
+    std::vector<std::vector<MemoryRef>> refs_;
 };
 
 } // namespace mcdvfs

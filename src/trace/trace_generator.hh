@@ -20,17 +20,25 @@
  * memory instruction then takes its tier draw, the cold-sequential
  * choice (cold tier, 0 < coldSeqFrac < 1 only) and its word draw,
  * which Rng::Bound may reject and draw again.  The generator reads
- * those draws from a block of kBlock filled by Rng::fill(), with one
- * bit per draw set when the draw, read as a kind, is a memory
- * reference.  nextMemoryRefs() finds the next memory instruction
- * with countr_zero on those bits, so the non-memory instructions
- * between two references cost no branch each, and reads a
- * reference's draws at fixed offsets.  A reference whose word draw is
- * rejected, or whose draws may run past the block, is decoded one
- * buffered draw at a time by the decoder next() uses, so both calls
- * consume one stream and may be interleaved.  Everything derived from
- * the spec (cumulative mix edges, tier word counts and their rejection
- * thresholds) is computed once, in the constructor.
+ * those draws from a block of kBlock, with one bit per draw set when
+ * the draw, read as a kind, is a memory reference.
+ *
+ * nextMemoryRefs() walks a block: it finds the next memory
+ * instruction with countr_zero on those bits, so the non-memory
+ * instructions between two references cost no branch each, and reads
+ * a reference's draws at fixed offsets, a rejected word draw and its
+ * redraws in place.  The block edge is a carry: the walk stops before
+ * an instruction whose draws may run past the block, and the refill
+ * moves that instruction's unread draws (fewer than kCarry) to just
+ * before the fresh ones.  The grouped nextMemoryRefs() walks several
+ * generators' blocks, each to where it parks, then refills the parked
+ * blocks together with the grouped Rng::fill(); the one-generator call
+ * is its one-lane case.  next()
+ * decodes the same buffered draws one at a time, so it and the block
+ * calls consume one stream and may be interleaved.  Everything derived
+ * from the spec (cumulative mix edges, tier word counts and their
+ * rejection thresholds) is computed once, in the constructor, which
+ * also rejects a spec whose tiers would overlap at the bases below.
  */
 
 #ifndef MCDVFS_TRACE_TRACE_GENERATOR_HH
@@ -39,6 +47,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -54,31 +63,64 @@ namespace mcdvfs
 class TraceGenerator final : public TraceSource
 {
   public:
-    /** @name Tier base addresses (disjoint by construction). */
+    /**
+     * @name Tier base addresses.  The constructor rejects a tier that
+     * would reach the next base (or, for the cold tier, wrap).
+     */
     ///@{
     static constexpr std::uint64_t kHotBase = 0x1000'0000ull;
     static constexpr std::uint64_t kWarmBase = 0x4000'0000ull;
     static constexpr std::uint64_t kColdBase = 0x8000'0000ull;
     ///@}
 
+    /** One generator's part of a grouped nextMemoryRefs() call. */
+    struct Lane
+    {
+        TraceGenerator *gen = nullptr;
+        /** Instructions to advance by. */
+        Count instructions = 0;
+        /** Replaced by their memory references, in order. */
+        std::vector<MemoryRef> *refs = nullptr;
+        /** Set to how many of the instructions were GPU kicks. */
+        Count gpuKicks = 0;
+    };
+
     /**
      * @param spec validated phase specification
      * @param seed deterministic stream seed
-     * @throws FatalError when @c spec is inconsistent
+     * @throws FatalError when @c spec is inconsistent or a footprint
+     *         tier would overlap the next tier's base
      */
     TraceGenerator(const PhaseSpec &spec, std::uint64_t seed);
 
     /** Produce the next dynamic instruction. */
     InstrRecord next() override;
 
+    /** The one-lane case of the grouped call below. */
     Count nextMemoryRefs(Count n, std::vector<MemoryRef> &refs) override;
+
+    /**
+     * Advance every lane's generator by the lane's instruction count,
+     * with the same references and GPU kicks as a nextMemoryRefs(n,
+     * refs) call on each generator alone.  The generators must be
+     * distinct.
+     */
+    static void nextMemoryRefs(std::span<Lane> lanes);
 
     /** The phase being generated. */
     const PhaseSpec &spec() const { return spec_; }
 
   private:
-    /** Raw draws buffered per Rng::fill() (a multiple of 64). */
+    /** Raw draws buffered per block (a multiple of 64). */
     static constexpr std::size_t kBlock = 512;
+
+    /**
+     * The most draws a memory instruction takes when its word draw is
+     * accepted (kind, tier, cold choice, word).  A walk stops before an
+     * instruction with fewer left in the block, so a refill carries
+     * fewer than this; fresh draws fill block_[kCarry, kBlock).
+     */
+    static constexpr std::size_t kCarry = 4;
 
     /** Non-memory kinds in mix order; IntAlu takes the remainder. */
     static constexpr InstrKind kOpKinds[] = {
@@ -92,17 +134,38 @@ class TraceGenerator final : public TraceSource
         Rng::Bound words;
     };
 
+    /** A lane of a grouped call, with the instructions it has left. */
+    struct Cursor
+    {
+        Lane *lane;
+        Count left;
+    };
+
     /** The next buffered draw, refilling the block when it is spent. */
     std::uint64_t
     draw()
     {
-        if (pos_ == kBlock)
-            refill();
+        if (pos_ == kBlock) {
+            TraceGenerator *self = this;
+            refill({&self, 1});
+        }
         return block_[pos_++];
     }
 
-    /** Fill the block with kBlock draws and rebuild its memory bits. */
-    void refill();
+    /**
+     * Refill every generator's block: move its unread draws (fewer than
+     * kCarry) to just before kCarry, fill the rest with one grouped
+     * Rng::fill(), and rebuild the memory bits.
+     */
+    static void refill(std::span<TraceGenerator *const> gens);
+
+    /**
+     * Advance lane @c c, whose generator this is, through the block:
+     * false once it has advanced by every instruction asked for, true
+     * when it stops (parks) before an instruction whose draws may run
+     * past the block.
+     */
+    bool walk(Cursor &c);
 
     /**
      * The address of the memory instruction whose kind draw was the
@@ -133,7 +196,10 @@ class TraceGenerator final : public TraceSource
     std::array<Tier, 3> tiers_;  ///< hot, warm, cold (random accesses)
     std::uint64_t coldCursor_ = 0;  ///< sequential cold-stream offset
 
-    /** Buffered raw draws; block_[pos_] is the next one. */
+    /**
+     * Buffered raw draws; block_[pos_] is the next one.  Those before
+     * pos_ are spent (or stale, before a carry).
+     */
     std::array<std::uint64_t, kBlock> block_{};
     /** Bit i of word w: draw 64w + i, read as a kind, is a load or store. */
     std::array<std::uint64_t, kBlock / 64> memoryBits_{};

@@ -38,6 +38,43 @@ TEST(Rng, FillMatchesNext)
     }
 }
 
+TEST(Rng, GroupedFillMatchesFill)
+{
+    // Up to two vectors of lanes and one more, so every lane of a
+    // full vector, a part-filled one and a lone last generator is
+    // compared with that generator filled alone.
+    const std::size_t max_gens = 2 * Rng::kLanes + 1;
+    for (std::size_t count = 1; count <= max_gens; ++count) {
+        std::vector<Rng> grouped;
+        std::vector<Rng> alone;
+        for (std::size_t g = 0; g < count; ++g) {
+            grouped.emplace_back(1000 + g);
+            alone.emplace_back(1000 + g);
+        }
+        std::vector<Rng *> gens;
+        for (Rng &rng : grouped)
+            gens.push_back(&rng);
+        std::vector<std::vector<std::uint64_t>> blocks(count);
+        std::vector<std::uint64_t> want;
+        for (const std::size_t n : {0, 1, 7, 508}) {
+            std::vector<std::uint64_t *> outs;
+            for (std::vector<std::uint64_t> &block : blocks) {
+                block.assign(n, 0);
+                outs.push_back(block.data());
+            }
+            Rng::fill(gens, outs, n);
+            for (std::size_t g = 0; g < count; ++g) {
+                want.assign(n, 0);
+                alone[g].fill(want.data(), n);
+                ASSERT_EQ(blocks[g], want)
+                    << count << " generators, " << n << " draws, lane " << g;
+            }
+        }
+        for (std::size_t g = 0; g < count; ++g)
+            ASSERT_EQ(grouped[g].next(), alone[g].next()) << "lane " << g;
+    }
+}
+
 TEST(Rng, DifferentSeedsDiffer)
 {
     Rng a(1);

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,10 +26,14 @@
 #include "runtime/budget_arbiter.hh"
 #include "runtime/tuning_loop.hh"
 #include "sched/scheduler.hh"
+#include "sim/profile_cache.hh"
 #include "sim/reference_kernel.hh"
+#include "sim/sample_simulator.hh"
 #include "svc/characterization_service.hh"
 #include "svc/grid_cache.hh"
 #include "test_grid.hh"
+#include "trace/trace_generator.hh"
+#include "trace/workloads.hh"
 
 namespace mcdvfs
 {
@@ -211,6 +216,58 @@ TEST(ObsInstrumentation, GridRunnerBuildAndCellCounters)
     // iterates the bandwidth fixed point, so iterations accumulate.
     EXPECT_GT(counterValue("sim.grid.fixed_point_iterations"), iters0);
     EXPECT_EQ(histogramCount("sim.grid.build_ns"), buildNs0 + 1);
+}
+
+TEST(ObsInstrumentation, CharacterizeCountersCountEveryStream)
+{
+    REQUIRE_METRICS_ON();
+    // 50k warm-up instructions over 20k samples: two full warm-up
+    // chunks and a short one, so the last warm-up ends mid-sample.
+    SampleSimulatorConfig config;
+    config.simInstructionsPerSample = 20'000;
+    config.profileWarmupInstructions = 50'000;
+    const WorkloadProfile gobmk = workloadByName("gobmk");
+    const std::size_t samples = 5;
+    const WorkloadProfile workload(
+        "gobmk-cut", samples,
+        [&gobmk](std::size_t s) { return gobmk.phaseFor(s); }, 41,
+        /*jitter=*/0.0);
+
+    // The same streams, one generator at a time: each sample's three
+    // warm-ups (seeds as SampleSimulator derives them), then the sample.
+    Count want_refs = 0;
+    std::vector<MemoryRef> refs;
+    for (std::size_t s = 0; s < samples; ++s) {
+        const PhaseSpec &spec = workload.phaseFor(s);
+        const std::uint64_t seed = workload.traceSeedFor(s);
+        const Count warmups[] = {20'000, 20'000, 10'000};
+        for (std::size_t w = 0; w < std::size(warmups); ++w) {
+            TraceGenerator gen(
+                spec,
+                seed ^ (0x57a7ab1e0ddba11ull + w * 0x9e3779b97f4a7c15ull));
+            gen.nextMemoryRefs(warmups[w], refs);
+            want_refs += refs.size();
+        }
+        TraceGenerator gen(spec, seed);
+        gen.nextMemoryRefs(config.simInstructionsPerSample, refs);
+        want_refs += refs.size();
+    }
+
+    const std::uint64_t instructions0 =
+        counterValue("sim.characterize.instructions");
+    const std::uint64_t memoryRefs0 =
+        counterValue("sim.characterize.memory_refs");
+    SampleSimulator simulator(config);
+    ProfileCache cache(64);
+    simulator.setProfileCache(&cache);
+    simulator.characterize(workload);
+    ASSERT_EQ(simulator.lastCharacterizeStats().cacheMisses, samples);
+
+    EXPECT_EQ(counterValue("sim.characterize.instructions"),
+              instructions0 + samples * (config.profileWarmupInstructions +
+                                         config.simInstructionsPerSample));
+    EXPECT_EQ(counterValue("sim.characterize.memory_refs"),
+              memoryRefs0 + want_refs);
 }
 
 TEST(ObsInstrumentation, ReferenceKernelCounters)

@@ -330,6 +330,21 @@ TEST(SampleSimulator, ProfilesMatchTheGolden)
     }
 }
 
+TEST(SampleSimulator, LongStreamMatchesChunkedSource)
+{
+    // A sample longer than one pass 1 is decoded a group budget at a
+    // time; characterizeTrace() reads the same stream in chunks.
+    const Count n = SampleSimulator::kGroupInstructions + 5000;
+    for (const PhaseSpec &spec : {memBoundPhase(), cpuBoundPhase()}) {
+        SCOPED_TRACE(spec.name);
+        SampleSimulator direct(fastConfig());
+        SampleSimulator chunked(fastConfig());
+        TraceGenerator source(spec, 5);
+        EXPECT_EQ(profileDigest({direct.characterizeOne(spec, 5, n)}),
+                  profileDigest({chunked.characterizeTrace(source, n, spec)}));
+    }
+}
+
 /** Digest of the first 4096 records of a (spec, seed) stream. */
 std::uint64_t
 traceDigest(const PhaseSpec &spec, std::uint64_t seed)
@@ -426,20 +441,14 @@ expectBlockCallMatchesNext(const PhaseSpec &spec, std::uint64_t seed,
     EXPECT_EQ(a.addr, b.addr);
 }
 
-TEST(TraceGenerator, MemoryRefsMatchNext)
+/**
+ * The stream-golden specs, then the edges of the block walk: no
+ * memory, all memory, coldSeqFrac 0 and 1, hotFrac 1, and a cold set
+ * whose word bound rejects one draw in nine.
+ */
+std::vector<PhaseSpec>
+edgeSpecs()
 {
-    // Every sample's phase of every workload, GPU phases included, at a
-    // length that rotates through kBlockCallLengths.
-    std::size_t rotation = 0;
-    for (const WorkloadProfile &workload : extendedWorkloads()) {
-        for (std::size_t s = 0; s < workload.sampleCount(); ++s) {
-            const Count n =
-                kBlockCallLengths[rotation++ % std::size(kBlockCallLengths)];
-            expectBlockCallMatchesNext(workload.phaseFor(s),
-                                       workload.traceSeedFor(s), n);
-        }
-    }
-
     std::vector<PhaseSpec> specs = goldenStreamSpecs();
     PhaseSpec no_memory;
     no_memory.name = "no-memory";
@@ -479,7 +488,24 @@ TEST(TraceGenerator, MemoryRefsMatchNext)
     rejecting.gpuKickFrac = 0.05;
     rejecting.coldBytes = 16'397'105'843'297'379'216ull;
     specs.push_back(rejecting);
+    return specs;
+}
 
+TEST(TraceGenerator, MemoryRefsMatchNext)
+{
+    // Every sample's phase of every workload, GPU phases included, at a
+    // length that rotates through kBlockCallLengths.
+    std::size_t rotation = 0;
+    for (const WorkloadProfile &workload : extendedWorkloads()) {
+        for (std::size_t s = 0; s < workload.sampleCount(); ++s) {
+            const Count n =
+                kBlockCallLengths[rotation++ % std::size(kBlockCallLengths)];
+            expectBlockCallMatchesNext(workload.phaseFor(s),
+                                       workload.traceSeedFor(s), n);
+        }
+    }
+
+    const std::vector<PhaseSpec> specs = edgeSpecs();
     std::uint64_t seed = 31;
     for (const PhaseSpec &spec : specs) {
         for (const Count n : kBlockCallLengths)
@@ -500,6 +526,113 @@ TEST(TraceGenerator, MemoryRefsMatchNext)
                 const InstrRecord b = single.next();
                 ASSERT_EQ(a.kind, b.kind);
                 ASSERT_EQ(a.addr, b.addr);
+            }
+        }
+    }
+}
+
+/** One lane of a grouped call under test. */
+struct GroupedStream
+{
+    PhaseSpec spec;
+    std::uint64_t seed;
+    Count length;
+};
+
+/**
+ * Decode @c streams with one grouped call, each generator first
+ * advanced by 0-2 next() calls so lanes start at different draws, and
+ * expect every lane's references and GPU kicks to equal those of its
+ * generator alone decoded by next(); then the next instruction of
+ * each to match.
+ */
+void
+expectGroupMatchesOneAtATime(const std::vector<GroupedStream> &streams)
+{
+    std::vector<TraceGenerator> grouped;
+    std::vector<TraceGenerator> single;
+    for (const GroupedStream &stream : streams) {
+        grouped.emplace_back(stream.spec, stream.seed);
+        single.emplace_back(stream.spec, stream.seed);
+    }
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        for (std::size_t k = 0; k < i % 3; ++k) {
+            const InstrRecord a = grouped[i].next();
+            const InstrRecord b = single[i].next();
+            ASSERT_EQ(a.kind, b.kind);
+            ASSERT_EQ(a.addr, b.addr);
+        }
+    }
+    std::vector<std::vector<MemoryRef>> got(streams.size());
+    std::vector<TraceGenerator::Lane> lanes;
+    for (std::size_t i = 0; i < streams.size(); ++i)
+        lanes.push_back({&grouped[i], streams[i].length, &got[i]});
+    TraceGenerator::nextMemoryRefs(lanes);
+
+    std::vector<MemoryRef> want;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        SCOPED_TRACE(streams[i].spec.name + " lane " + std::to_string(i) +
+                     " of " + std::to_string(streams.size()) + ", length " +
+                     std::to_string(streams[i].length));
+        const Count kicks =
+            single[i].TraceSource::nextMemoryRefs(streams[i].length, want);
+        EXPECT_EQ(lanes[i].gpuKicks, kicks);
+        ASSERT_EQ(got[i].size(), want.size());
+        for (std::size_t r = 0; r < want.size(); ++r) {
+            ASSERT_EQ(got[i][r].addr, want[r].addr) << "reference " << r;
+            ASSERT_EQ(got[i][r].isWrite, want[r].isWrite)
+                << "reference " << r;
+        }
+        const InstrRecord a = grouped[i].next();
+        const InstrRecord b = single[i].next();
+        EXPECT_EQ(a.kind, b.kind);
+        EXPECT_EQ(a.addr, b.addr);
+    }
+}
+
+TEST(TraceGenerator, GroupedCallMatchesOneAtATime)
+{
+    // Every sample's phase of every workload, then the edge specs.
+    std::vector<GroupedStream> streams;
+    for (const WorkloadProfile &workload : extendedWorkloads()) {
+        for (std::size_t s = 0; s < workload.sampleCount(); ++s)
+            streams.push_back(
+                {workload.phaseFor(s), workload.traceSeedFor(s), 0});
+    }
+    const std::size_t workload_streams = streams.size();
+    std::uint64_t seed = 31;
+    for (const PhaseSpec &spec : edgeSpecs())
+        streams.push_back({spec, seed++, 0});
+
+    // Groups of one to one more than a vector of lanes, over unequal
+    // lengths, so lanes finish in different blocks.  The edge specs
+    // take every length in every group size.
+    constexpr Count kWorkloadLengths[] = {2048, 1, 20'000, 0, 513, 5000, 64};
+    for (std::size_t size = 1; size <= Rng::kLanes + 1; ++size) {
+        std::size_t rotation = size;
+        for (std::size_t first = 0; first < workload_streams; first += size) {
+            std::vector<GroupedStream> group;
+            for (std::size_t i = first;
+                 i < std::min(first + size, workload_streams); ++i) {
+                group.push_back(streams[i]);
+                group.back().length = kWorkloadLengths
+                    [rotation++ % std::size(kWorkloadLengths)];
+            }
+            expectGroupMatchesOneAtATime(group);
+        }
+        for (std::size_t shift = 0; shift < std::size(kBlockCallLengths);
+             ++shift) {
+            for (std::size_t first = workload_streams;
+                 first < streams.size(); first += size) {
+                std::vector<GroupedStream> group;
+                for (std::size_t i = first;
+                     i < std::min(first + size, streams.size()); ++i) {
+                    group.push_back(streams[i]);
+                    group.back().length =
+                        kBlockCallLengths[(i + shift) %
+                                          std::size(kBlockCallLengths)];
+                }
+                expectGroupMatchesOneAtATime(group);
             }
         }
     }

@@ -193,6 +193,33 @@ TEST(TraceGenerator, InvalidSpecThrows)
         for (int i = 0; i < 1000; ++i)
             one_word.next();
     }
+
+    // A tier must end at or before the next tier's base, and the cold
+    // tier before its addresses wrap: the largest accepted size of each
+    // and the smallest rejected one.
+    const struct
+    {
+        std::uint64_t PhaseSpec::*field;
+        std::uint64_t room;
+    } tiers[] = {
+        {&PhaseSpec::hotBytes,
+         TraceGenerator::kWarmBase - TraceGenerator::kHotBase},
+        {&PhaseSpec::warmBytes,
+         TraceGenerator::kColdBase - TraceGenerator::kWarmBase},
+        {&PhaseSpec::coldBytes, 0 - TraceGenerator::kColdBase},
+    };
+    for (const auto &tier : tiers) {
+        spec = testSpec();
+        spec.*tier.field = tier.room;
+        TraceGenerator largest(spec, 1);
+        for (int i = 0; i < 1000; ++i)
+            largest.next();
+        spec.*tier.field = tier.room + 1;
+        EXPECT_THROW((TraceGenerator{spec, 1}), FatalError) << tier.room;
+    }
+    EXPECT_EQ(tiers[0].room, 0x3000'0000u);
+    EXPECT_EQ(tiers[1].room, 0x4000'0000u);
+    EXPECT_EQ(tiers[2].room, 0xffff'ffff'8000'0000u);
 }
 
 } // namespace
